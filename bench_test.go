@@ -339,7 +339,9 @@ func BenchmarkShardedSwitch(b *testing.B) {
 				vals := []float32{1.5}
 				for pb.Next() {
 					c := uint32(next.Add(1) - 1)
-					sw.Handle(0, aggservice.EncodeAdd(0, c, vals))
+					var dl transport.DeliveryList
+					sw.HandleBatch(0, [][]byte{aggservice.EncodeAdd(0, c, 0, core.DefaultProfile, vals)}, &dl)
+					dl.Take()
 				}
 			})
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
@@ -363,7 +365,9 @@ func BenchmarkShardedSwitch(b *testing.B) {
 			vals := []float32{1.5}
 			for pb.Next() {
 				c := uint32(next.Add(1) - 1)
-				sw.Handle(0, aggservice.EncodeAddProfile(0, c, 0, prof, vals))
+				var dl transport.DeliveryList
+				sw.HandleBatch(0, [][]byte{aggservice.EncodeAdd(0, c, 0, prof, vals)}, &dl)
+				dl.Take()
 			}
 		})
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
@@ -465,7 +469,7 @@ func BenchmarkFabricThroughput(b *testing.B) {
 		{"batched-ring-bf16add", core.NumericProfile{Format: core.FormatBF16}},
 	} {
 		b.Run(pv.name, func(b *testing.B) {
-			add := aggservice.EncodeAddProfile(0, 0, 0, pv.prof, make([]float32, 8))
+			add := aggservice.EncodeAdd(0, 0, 0, pv.prof, make([]float32, 8))
 			pkts := make([][]byte, batch)
 			for i := range pkts {
 				pkts[i] = add
@@ -665,7 +669,9 @@ func BenchmarkMultiJobSwitch(b *testing.B) {
 					n := next.Add(1) - 1
 					job := int(n) % jobs
 					c := uint32(n) / uint32(jobs)
-					sw.Handle(cfg.Port(job, 0), aggservice.EncodeAdd(job, c, vals))
+					var dl transport.DeliveryList
+					sw.HandleBatch(cfg.Port(job, 0), [][]byte{aggservice.EncodeAdd(job, c, 0, core.DefaultProfile, vals)}, &dl)
+					dl.Take()
 				}
 			})
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")

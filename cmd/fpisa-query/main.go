@@ -206,11 +206,11 @@ func queryJobStats(w io.Writer, addr string, job int, timeout time.Duration) err
 		// The switch answers stats requests for unknown jobs with an
 		// explicit lifecycle ack; surface it as the scriptable error.
 		if len(pkt) >= 2 && pkt[0] == aggservice.WireVersion && pkt[1] == aggservice.MsgJobAck {
-			gotJob, status, _, _, err := aggservice.DecodeJobAck(pkt)
-			if err != nil || gotJob != job {
+			a, err := aggservice.DecodeJobAck(pkt)
+			if err != nil || a.Job != job {
 				return false, nil // stray or garbled ack: keep listening
 			}
-			return true, fmt.Errorf("switch %s refuses stats for job %d: %w", addr, job, status.Err())
+			return true, fmt.Errorf("switch %s refuses stats for job %d: %w", addr, job, a.Status.Err())
 		}
 		gotJob, got, err := aggservice.DecodeStatsReply(pkt)
 		if err != nil || gotJob != job {
@@ -239,24 +239,24 @@ func queryJobStats(w io.Writer, addr string, job int, timeout time.Duration) err
 }
 
 // lifecycleExchange drives one admit or evict round trip against a running
-// switch and returns the acknowledged status plus the echoed incarnation
-// epoch, scheduler weight and numeric profile. Error statuses (unknown
+// switch and returns the ack: the status plus the echoed incarnation
+// epoch, scheduler weight, numeric profile and class. Error statuses (unknown
 // job, no capacity, lifecycle disabled, …) become the returned error. The
 // operation is read from the request frame itself, so the diagnostics can
 // never disagree with what was sent.
-func lifecycleExchange(addr string, req []byte, job int, timeout time.Duration) (status aggservice.AckStatus, epoch uint8, weight int, prof core.NumericProfile, class aggservice.AdmitClass, err error) {
+func lifecycleExchange(addr string, req []byte, job int, timeout time.Duration) (ack aggservice.JobAck, err error) {
 	msgType := req[1]
 	verb := "admit"
 	if msgType == aggservice.MsgJobEvict {
 		verb = "evict"
 	}
 	err = observerExchange(addr, req, timeout, func(pkt []byte, attempt int) (bool, error) {
-		gotJob, got, gotEpoch, gotWeight, gotProf, gotClass, derr := aggservice.DecodeJobAckClass(pkt)
-		if derr != nil || gotJob != job {
+		got, derr := aggservice.DecodeJobAck(pkt)
+		if derr != nil || got.Job != job {
 			return false, nil
 		}
-		status, epoch, weight, prof, class = got, gotEpoch, gotWeight, gotProf, gotClass
-		serr := got.Err()
+		ack = got
+		serr := got.Status.Err()
 		if serr == nil {
 			return true, nil
 		}
@@ -266,17 +266,17 @@ func lifecycleExchange(addr string, req []byte, job int, timeout time.Duration) 
 		// must not see a completed operation as failed.
 		if attempt > 0 {
 			if msgType == aggservice.MsgJobAdmit && errors.Is(serr, aggservice.ErrAlreadyAdmitted) {
-				status = aggservice.AckAdmitted
+				ack.Status = aggservice.AckAdmitted
 				return true, nil
 			}
 			if msgType == aggservice.MsgJobEvict && errors.Is(serr, aggservice.ErrNotAdmitted) {
-				status = aggservice.AckEvicting
+				ack.Status = aggservice.AckEvicting
 				return true, nil
 			}
 		}
 		return true, fmt.Errorf("switch %s refuses to %s job %d: %w", addr, verb, job, serr)
 	})
-	return status, epoch, weight, prof, class, err
+	return ack, err
 }
 
 // admitRequest admits a job with a fair-scheduler weight and a numeric
@@ -304,8 +304,8 @@ func admitRequest(w io.Writer, addr string, job, weight int, profile, class stri
 	if err != nil {
 		return err
 	}
-	req := aggservice.EncodeJobAdmitClass(job, weight, prof, ac)
-	status, epoch, gotWeight, gotProf, gotClass, err := lifecycleExchange(addr, req, job, timeout)
+	req := aggservice.EncodeJobAdmit(aggservice.JobAdmit{Job: job, Weight: weight, Profile: prof, Class: ac})
+	got, err := lifecycleExchange(addr, req, job, timeout)
 	if err != nil {
 		return err
 	}
@@ -316,15 +316,15 @@ func admitRequest(w io.Writer, addr string, job, weight int, profile, class stri
 	// will actually enforce, and the class names the data path the switch
 	// provisioned.
 	fmt.Fprintf(w, "switch %s: job %d %s (weight %d, profile %s, class %v, epoch %d)\n",
-		addr, job, status, gotWeight, gotProf, gotClass, epoch)
-	if weight == 0 && gotWeight != 0 {
-		return fmt.Errorf("switch %s clamped the requested weight 0 to %d for job %d", addr, gotWeight, job)
+		addr, job, got.Status, got.Weight, got.Profile, got.Class, got.Epoch)
+	if weight == 0 && got.Weight != 0 {
+		return fmt.Errorf("switch %s clamped the requested weight 0 to %d for job %d", addr, got.Weight, job)
 	}
-	if gotProf != prof {
-		return fmt.Errorf("switch %s applied profile %s for job %d, not the requested %s", addr, gotProf, job, prof)
+	if got.Profile != prof {
+		return fmt.Errorf("switch %s applied profile %s for job %d, not the requested %s", addr, got.Profile, job, prof)
 	}
-	if gotClass != ac {
-		return fmt.Errorf("switch %s applied class %v for job %d, not the requested %v", addr, gotClass, job, ac)
+	if got.Class != ac {
+		return fmt.Errorf("switch %s applied class %v for job %d, not the requested %v", addr, got.Class, job, ac)
 	}
 	return nil
 }
@@ -334,11 +334,11 @@ func evictRequest(w io.Writer, addr string, job int, timeout time.Duration) erro
 	if job < 0 || job >= aggservice.MaxJobs {
 		return fmt.Errorf("job %d outside the 16-bit job-id space", job)
 	}
-	status, epoch, _, _, _, err := lifecycleExchange(addr, aggservice.EncodeJobEvict(job), job, timeout)
+	got, err := lifecycleExchange(addr, aggservice.EncodeJobEvict(job), job, timeout)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "switch %s: job %d %s (epoch %d)\n", addr, job, status, epoch)
+	fmt.Fprintf(w, "switch %s: job %d %s (epoch %d)\n", addr, job, got.Status, got.Epoch)
 	return nil
 }
 

@@ -1,9 +1,9 @@
 // Command fpisa-switch runs a standalone FPISA aggregation switch daemon
 // over UDP. Workers frame packets with a one-byte worker-port ID followed
-// by the aggservice wire format v2 (single ADDs or MsgBatch frames); the
-// daemon answers results to the senders' addresses (broadcasting
-// completions to every registered worker, or to the owning job's ports
-// when several jobs share the switch).
+// by an aggservice wire format v2 message, or coalesce several into one
+// 0xFE transport batch frame; the daemon answers results to the senders'
+// addresses (broadcasting completions to every registered worker, or to
+// the owning job's ports when several jobs share the switch).
 //
 // The switch is multi-tenant: -jobs admits that many jobs at start, each
 // owning a slot-pool partition through the lifecycle indirection table,

@@ -54,7 +54,7 @@ func main() {
 	fmt.Printf("FPISA switch on %s (%d pipeline shards), %d jobs x %d workers, vector length %d\n",
 		fab.SwitchAddr(), sw.Shards(), jobs, workers, vecLen)
 	for j := 0; j < jobs; j++ {
-		add := aggservice.EncodeAddProfile(j, 0, 0, profiles[j], make([]float32, cfg.Modules))
+		add := aggservice.EncodeAdd(j, 0, 0, profiles[j], make([]float32, cfg.Modules))
 		fmt.Printf("  job %d speaks %s: %d-byte ADDs (%d value bytes/element)\n",
 			j, profiles[j], len(add), profiles[j].ValueBytes())
 	}

@@ -83,8 +83,8 @@ func main() {
 			if err != nil {
 				continue
 			}
-			if _, status, epoch, w, err := aggservice.DecodeJobAck(buf[:n]); err == nil {
-				return status, epoch, w
+			if a, err := aggservice.DecodeJobAck(buf[:n]); err == nil {
+				return a.Status, a.Epoch, a.Weight
 			}
 		}
 		log.Fatal("control plane: no ack")
@@ -112,7 +112,7 @@ func main() {
 		// The admit names the tenant's scheduler weight; the ack echoes the
 		// weight the switch applied alongside the incarnation epoch — both
 		// are what the operator hands to the job's workers.
-		status, epoch, w := control(aggservice.EncodeJobAdmitWeight(job, *weight))
+		status, epoch, w := control(aggservice.EncodeJobAdmit(aggservice.JobAdmit{Job: job, Weight: *weight}))
 		fmt.Printf("  [operator] admit job %d: %v (weight %d, epoch %d)\n", job, status, w, epoch)
 		return epoch
 	}

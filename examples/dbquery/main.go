@@ -102,7 +102,7 @@ func main() {
 			for sw.JobPhaseOf(0) != aggservice.PhaseVacant {
 				time.Sleep(time.Millisecond)
 			}
-			if err := sw.Admit(0); err != nil {
+			if err := sw.AdmitWorkload(0, 1, core.DefaultProfile, aggservice.AdmitClass{}); err != nil {
 				log.Fatalf("training recycle admit: %v", err)
 			}
 			trainEpoch = sw.JobEpoch(0)
@@ -250,20 +250,20 @@ func main() {
 // admitClass admits job with a workload-class descriptor over the observer
 // frame and returns the incarnation epoch to stamp into tuple batches.
 func admitClass(addr string, job int, ac aggservice.AdmitClass) (uint8, error) {
-	req := aggservice.EncodeJobAdmitClass(job, 1, core.DefaultProfile, ac)
+	req := aggservice.EncodeJobAdmit(aggservice.JobAdmit{Job: job, Weight: 1, Class: ac})
 	var epoch uint8
 	err := observerExchange(addr, req, func(pkt []byte) (bool, error) {
-		j, status, ep, _, _, gotAC, derr := aggservice.DecodeJobAckClass(pkt)
-		if derr != nil || j != job {
+		a, derr := aggservice.DecodeJobAck(pkt)
+		if derr != nil || a.Job != job {
 			return false, nil
 		}
-		if serr := status.Err(); serr != nil {
+		if serr := a.Status.Err(); serr != nil {
 			return true, fmt.Errorf("switch refuses job %d: %w", job, serr)
 		}
-		if gotAC != ac {
-			return true, fmt.Errorf("switch applied class %v, not %v", gotAC, ac)
+		if a.Class != ac {
+			return true, fmt.Errorf("switch applied class %v, not %v", a.Class, ac)
 		}
-		epoch = ep
+		epoch = a.Epoch
 		return true, nil
 	})
 	return epoch, err
@@ -272,11 +272,11 @@ func admitClass(addr string, job int, ac aggservice.AdmitClass) (uint8, error) {
 // evictJob releases the job's slot range over the observer frame.
 func evictJob(addr string, job int) error {
 	return observerExchange(addr, aggservice.EncodeJobEvict(job), func(pkt []byte) (bool, error) {
-		j, status, _, _, derr := aggservice.DecodeJobAck(pkt)
-		if derr != nil || j != job {
+		a, derr := aggservice.DecodeJobAck(pkt)
+		if derr != nil || a.Job != job {
 			return false, nil
 		}
-		if serr := status.Err(); serr != nil {
+		if serr := a.Status.Err(); serr != nil {
 			return true, fmt.Errorf("switch refuses to evict job %d: %w", job, serr)
 		}
 		return true, nil

@@ -103,7 +103,7 @@ func main() {
 			for sw.JobPhaseOf(0) != aggservice.PhaseVacant {
 				time.Sleep(time.Millisecond)
 			}
-			if err := sw.Admit(0); err != nil {
+			if err := sw.AdmitWorkload(0, 1, core.DefaultProfile, aggservice.AdmitClass{}); err != nil {
 				log.Fatalf("training recycle admit: %v", err)
 			}
 			epoch = sw.JobEpoch(0)

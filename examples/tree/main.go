@@ -220,8 +220,8 @@ func main() {
 			if err != nil {
 				continue
 			}
-			if _, status, _, _, err := aggservice.DecodeJobAck(buf[:n]); err == nil {
-				return status
+			if a, err := aggservice.DecodeJobAck(buf[:n]); err == nil {
+				return a.Status
 			}
 		}
 		log.Fatal("control plane: no ack")
@@ -247,7 +247,7 @@ func main() {
 		waitVacant(append([]*aggservice.Switch{spine}, leaves...)...)
 		var epochs [nLeaves]uint8
 		for i, fab := range leafFabs {
-			st := control(fab.SwitchAddr(), aggservice.EncodeJobAdmit(0))
+			st := control(fab.SwitchAddr(), aggservice.EncodeJobAdmit(aggservice.JobAdmit{Job: 0, Weight: 1}))
 			epochs[i] = leaves[i].JobEpoch(0)
 			fmt.Printf("  [operator] admit job 0 at leaf %d: %v (leaf epoch %d, spine epoch %d)\n",
 				i, st, epochs[i], spine.JobEpoch(0))

@@ -768,12 +768,12 @@ func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList
 	ri := int(js.rangeIdx.Load())
 	if JobPhase(js.phase.Load()) == PhaseVacant || ri < 0 {
 		s.rejBadJob.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckEvicted, pkt[hdrBytes], 0))
+		out.Unicast(worker, EncodeJobAck(JobAck{Job: job, Status: AckEvicted, Epoch: pkt[hdrBytes]}))
 		return
 	}
 	if pkt[hdrBytes] != uint8(epoch) {
 		s.rejStale.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckEvicted, pkt[hdrBytes], 0))
+		out.Unicast(worker, EncodeJobAck(JobAck{Job: job, Status: AckEvicted, Epoch: pkt[hdrBytes]}))
 		return
 	}
 	count := int(binary.BigEndian.Uint16(pkt[hdrBytes+2:]))
@@ -789,14 +789,14 @@ func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList
 	if js.epoch.Load() != epoch {
 		sh.mu.Unlock()
 		s.rejBadJob.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckEvicted, uint8(epoch), 0))
+		out.Unicast(worker, EncodeJobAck(JobAck{Job: job, Status: AckEvicted, Epoch: uint8(epoch)}))
 		return
 	}
 	an := s.analytics[job]
 	if an == nil || !an.opAllowed(op) {
 		sh.mu.Unlock()
 		s.rejClass.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckErrBadClass, uint8(epoch), int(js.weight.Load())))
+		out.Unicast(worker, EncodeJobAck(JobAck{Job: job, Status: AckErrBadClass, Epoch: uint8(epoch), Weight: int(js.weight.Load())}))
 		return
 	}
 	switch {
@@ -809,7 +809,7 @@ func (s *Switch) handleTuple(worker int, pkt []byte, out *transport.DeliveryList
 			sh.mu.Unlock()
 			js.schedDefers.Add(1)
 			s.rejBackpressure.Add(1)
-			out.Unicast(worker, EncodeJobAck(job, AckBackpressure, uint8(epoch), int(js.weight.Load())))
+			out.Unicast(worker, EncodeJobAck(JobAck{Job: job, Status: AckBackpressure, Epoch: uint8(epoch), Weight: int(js.weight.Load())}))
 			return
 		}
 		ack := an.fold(job, seq, op, pkt, count)
@@ -851,7 +851,7 @@ func (s *Switch) handleDrain(worker int, pkt []byte, out *transport.DeliveryList
 	}
 	if job >= s.ncap {
 		s.rejBadJob.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckErrUnknownJob, 0, 0))
+		out.Unicast(worker, EncodeJobAck(JobAck{Job: job, Status: AckErrUnknownJob}))
 		return
 	}
 	js := &s.jobs[job]
@@ -859,7 +859,7 @@ func (s *Switch) handleDrain(worker int, pkt []byte, out *transport.DeliveryList
 	ri := int(js.rangeIdx.Load())
 	if JobPhase(js.phase.Load()) == PhaseVacant || ri < 0 {
 		s.rejBadJob.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckErrNotAdmitted, 0, 0))
+		out.Unicast(worker, EncodeJobAck(JobAck{Job: job, Status: AckErrNotAdmitted}))
 		return
 	}
 	flags := pkt[5]
@@ -869,14 +869,14 @@ func (s *Switch) handleDrain(worker int, pkt []byte, out *transport.DeliveryList
 	if js.epoch.Load() != epoch {
 		sh.mu.Unlock()
 		s.rejBadJob.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckErrNotAdmitted, 0, 0))
+		out.Unicast(worker, EncodeJobAck(JobAck{Job: job, Status: AckErrNotAdmitted}))
 		return
 	}
 	an := s.analytics[job]
 	if an == nil {
 		sh.mu.Unlock()
 		s.rejClass.Add(1)
-		out.Unicast(worker, EncodeJobAck(job, AckErrBadClass, uint8(epoch), int(js.weight.Load())))
+		out.Unicast(worker, EncodeJobAck(JobAck{Job: job, Status: AckErrBadClass, Epoch: uint8(epoch), Weight: int(js.weight.Load())}))
 		return
 	}
 	if an.lastDrainPkt != nil && an.lastDrainNonce == nonce {
@@ -1024,17 +1024,17 @@ func (c *TupleClient) sendOne(op TupleOp, keys []uint32, vals []float32) ([]int,
 					}
 					return out, nil
 				case MsgJobAck:
-					j, status, ep, _, aerr := DecodeJobAck(msg)
-					if aerr != nil || j != c.Job {
+					a, aerr := DecodeJobAck(msg)
+					if aerr != nil || a.Job != c.Job {
 						continue
 					}
-					switch status {
+					switch a.Status {
 					case AckBackpressure:
 						// Transient: the DRR round turns over on the
 						// switch; fall through to the retransmit clock.
 						c.BackpressureAcks++
 					case AckEvicted, AckDraining:
-						if ep == c.Epoch {
+						if a.Epoch == c.Epoch {
 							return nil, fmt.Errorf("aggservice: job %d tuple stream: %w", c.Job, ErrJobEvicted)
 						}
 					case AckErrBadClass:
@@ -1105,11 +1105,11 @@ func ObserverDrain(addr string, job int, kind DrainKind, flags uint8, timeout ti
 			}
 			return entries, nil
 		case MsgJobAck:
-			j, status, _, _, aerr := DecodeJobAck(msg)
-			if aerr != nil || j != job {
+			a, aerr := DecodeJobAck(msg)
+			if aerr != nil || a.Job != job {
 				continue
 			}
-			if serr := status.Err(); serr != nil {
+			if serr := a.Status.Err(); serr != nil {
 				return nil, fmt.Errorf("aggservice: drain job %d: %w", job, serr)
 			}
 		}

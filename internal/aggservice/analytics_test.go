@@ -135,32 +135,32 @@ func TestAnalyticsCodecRoundTrips(t *testing.T) {
 	}
 
 	ac := AdmitClass{Class: ClassQuery, TopN: 10, Groups: 1024}
-	adm := EncodeJobAdmitClass(5, 3, core.DefaultProfile, ac)
+	adm := EncodeJobAdmit(JobAdmit{Job: 5, Weight: 3, Profile: core.DefaultProfile, Class: ac})
 	if len(adm) != jobAdmitBytes {
 		t.Fatalf("admit frame %d bytes, want %d", len(adm), jobAdmitBytes)
 	}
-	j, w, prof, ac2, err := DecodeJobAdmitClass(adm)
-	if err != nil || j != 5 || w != 3 || prof != core.DefaultProfile || ac2 != ac {
-		t.Fatalf("admit class round trip: %d %d %v %v %v", j, w, prof, ac2, err)
+	m, err := DecodeJobAdmit(adm)
+	if err != nil || m.Job != 5 || m.Weight != 3 || m.Profile != core.DefaultProfile || m.Class != ac {
+		t.Fatalf("admit class round trip: %d %d %v %v %v", m.Job, m.Weight, m.Profile, m.Class, err)
 	}
 	// The profile-only decoder still reads the widened frame.
-	if _, _, _, err := DecodeJobAdmitProfile(adm); err != nil {
+	if _, err := DecodeJobAdmit(adm); err != nil {
 		t.Fatalf("profile decode of class admit: %v", err)
 	}
 	// The pre-class 9-byte layout is now a truncation error.
-	if _, _, _, _, err := DecodeJobAdmitClass(adm[:9]); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeJobAdmit(adm[:9]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("prior-layout admit: %v", err)
 	}
 
-	jack := EncodeJobAckClass(5, AckAdmitted, 1, 3, core.DefaultProfile, ac)
+	jack := EncodeJobAck(JobAck{Job: 5, Status: AckAdmitted, Epoch: 1, Weight: 3, Profile: core.DefaultProfile, Class: ac})
 	if len(jack) != jobAckBytes {
 		t.Fatalf("ack frame %d bytes, want %d", len(jack), jobAckBytes)
 	}
-	kj, st, ep, kw, kp, kac, err := DecodeJobAckClass(jack)
-	if err != nil || kj != 5 || st != AckAdmitted || ep != 1 || kw != 3 || kp != core.DefaultProfile || kac != ac {
-		t.Fatalf("ack class round trip: %d %v %d %d %v %v %v", kj, st, ep, kw, kp, kac, err)
+	a, err := DecodeJobAck(jack)
+	if err != nil || a.Job != 5 || a.Status != AckAdmitted || a.Epoch != 1 || a.Weight != 3 || a.Profile != core.DefaultProfile || a.Class != ac {
+		t.Fatalf("ack class round trip: %d %v %d %d %v %v %v", a.Job, a.Status, a.Epoch, a.Weight, a.Profile, a.Class, err)
 	}
-	if _, _, _, _, _, _, err := DecodeJobAckClass(jack[:11]); !errors.Is(err, ErrTruncated) {
+	if _, err := DecodeJobAck(jack[:11]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("prior-layout ack: %v", err)
 	}
 
@@ -492,13 +492,13 @@ func TestClassEnforcement(t *testing.T) {
 		if len(ds) != 1 {
 			t.Fatalf("deliveries: %v", ds)
 		}
-		if _, status, _, _, err := DecodeJobAck(ds[0].Packet); err != nil || status != want {
-			t.Fatalf("ack = %v (err %v), want %v", status, err, want)
+		if a, err := DecodeJobAck(ds[0].Packet); err != nil || a.Status != want {
+			t.Fatalf("ack = %v (err %v), want %v", a.Status, err, want)
 		}
 	}
 	before := sw.Rejects().BadClass
 	// ADD to the query job.
-	expectAck(sw.Handle(cfg.Port(1, 0), EncodeAdd(1, 0, []float32{1})), AckErrBadClass)
+	expectAck(sw.Handle(cfg.Port(1, 0), EncodeAdd(1, 0, 0, core.DefaultProfile, []float32{1})), AckErrBadClass)
 	// Tuple to the training job.
 	expectAck(sw.Handle(cfg.Port(0, 0), EncodeTuples(0, 0, 0, OpQueryTopN, []uint32{1}, []float32{1})), AckErrBadClass)
 	// Unprovisioned op on the query job (no group registers admitted).
@@ -527,24 +527,24 @@ func TestAnalyticsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ac := AdmitClass{Class: ClassQuery, TopN: 2, Groups: 8}
-	ds := sw.Handle(ObserverWorker, EncodeJobAdmitClass(1, 2, core.DefaultProfile, ac))
+	ds := sw.Handle(ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, Weight: 2, Profile: core.DefaultProfile, Class: ac}))
 	if len(ds) != 1 {
 		t.Fatalf("admit deliveries: %v", ds)
 	}
-	_, status, epoch, _, _, gotAC, err := DecodeJobAckClass(ds[0].Packet)
-	if err != nil || status != AckAdmitted || gotAC != ac {
-		t.Fatalf("class admit ack: %v %v %v", status, gotAC, err)
+	a, err := DecodeJobAck(ds[0].Packet)
+	if err != nil || a.Status != AckAdmitted || a.Class != ac {
+		t.Fatalf("class admit ack: %v %v %v", a.Status, a.Class, err)
 	}
 	if sw.JobClass(1) != ac {
 		t.Fatalf("JobClass(1) = %v", sw.JobClass(1))
 	}
 	// A bad descriptor is refused with the new status.
-	ds = sw.Handle(ObserverWorker, EncodeJobAdmitClass(0, 1, core.DefaultProfile, AdmitClass{Class: ClassTelemetry, Groups: 3}))
-	if _, st2, _, _, _ := DecodeJobAck(ds[0].Packet); st2 != AckErrBadClass {
-		t.Fatalf("bad class admit ack: %v", st2)
+	ds = sw.Handle(ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 0, Weight: 1, Profile: core.DefaultProfile, Class: AdmitClass{Class: ClassTelemetry, Groups: 3}}))
+	if a, _ := DecodeJobAck(ds[0].Packet); a.Status != AckErrBadClass {
+		t.Fatalf("bad class admit ack: %v", a.Status)
 	}
 
-	pkt := EncodeTuples(1, 0, epoch, OpQueryAgg, []uint32{5}, []float32{4})
+	pkt := EncodeTuples(1, 0, a.Epoch, OpQueryAgg, []uint32{5}, []float32{4})
 	if ds := sw.Handle(cfg.Port(1, 0), pkt); len(ds) != 1 || ds[0].Packet[1] != MsgTupleAck {
 		t.Fatalf("tuple after admit: %v", ds)
 	}
@@ -562,14 +562,14 @@ func TestAnalyticsLifecycle(t *testing.T) {
 	if len(ds) != 1 {
 		t.Fatalf("stale tuple deliveries: %v", ds)
 	}
-	if _, st2, _, _, _ := DecodeJobAck(ds[0].Packet); st2 != AckEvicted {
-		t.Fatalf("stale tuple ack: %v", st2)
+	if a, _ := DecodeJobAck(ds[0].Packet); a.Status != AckEvicted {
+		t.Fatalf("stale tuple ack: %v", a.Status)
 	}
 	// The id is reusable as a training tenant: fresh state, ADDs work.
-	if err := sw.Admit(1); err != nil {
+	if err := sw.AdmitWorkload(1, 1, core.DefaultProfile, AdmitClass{}); err != nil {
 		t.Fatal(err)
 	}
-	add := EncodeAddEpoch(1, 0, sw.JobEpoch(1), []float32{7})
+	add := EncodeAdd(1, 0, sw.JobEpoch(1), core.DefaultProfile, []float32{7})
 	if ds := sw.Handle(cfg.Port(1, 0), add); len(ds) != 1 || ds[0].Packet[1] != MsgResult {
 		t.Fatalf("training ADD after class churn: %v", ds)
 	}
@@ -584,8 +584,8 @@ func TestAnalyticsLifecycle(t *testing.T) {
 func TestMixedClassFairness(t *testing.T) {
 	weights := []int{1, 2, 4}
 	cfg := Config{Workers: 1, Pool: 8, Modules: 1, Shards: 1, Jobs: 3,
-		Weights: weights,
-		Classes: []AdmitClass{{}, {Class: ClassQuery, Groups: 64}, {Class: ClassTelemetry, Groups: 16}},
+		Weights:       weights,
+		Classes:       []AdmitClass{{}, {Class: ClassQuery, Groups: 64}, {Class: ClassTelemetry, Groups: 16}},
 		SchedRoundAge: time.Minute,
 		Mode:          core.ModeFull, Arch: pisa.ExtendedArch(),
 	}
@@ -608,7 +608,7 @@ func TestMixedClassFairness(t *testing.T) {
 		// Training tenant: chunks until the scheduler defers the bind.
 		for b := 0; b < burst; b++ {
 			served := false
-			for _, d := range sw.Handle(cfg.Port(0, 0), EncodeAdd(0, units[0], vals)) {
+			for _, d := range sw.Handle(cfg.Port(0, 0), EncodeAdd(0, units[0], 0, core.DefaultProfile, vals)) {
 				if d.Packet[1] == MsgResult {
 					units[0]++
 					served = true

@@ -36,7 +36,7 @@
 // unit of pipeline time in this protocol is BINDING A NEW CHUNK: a bound
 // chunk owns a slot, its Workers ADD passes, and a result broadcast.
 // Every admitted job therefore carries a Weight (Config.Weights at
-// construction, Switch.AdmitWeighted / the widened MsgJobAdmit at runtime;
+// construction, Switch.AdmitWorkload / MsgJobAdmit at runtime;
 // default 1, a requested 0 is clamped to 1 and revealed in the ack), and
 // each shard meters new-chunk binds with a deficit-round-robin ledger it
 // keeps under the shard lock it already holds:
@@ -72,7 +72,7 @@
 // accumulator guard bits (paper Appendix A.1's swamping protection) and
 // the rounding mode (truncate or round-to-nearest-even). Initial jobs take
 // theirs from Config.Profiles (fpisa-switch -profiles); runtime admissions
-// carry one in the widened MsgJobAdmit (Switch.AdmitProfile, fpisa-query
+// carry one in MsgJobAdmit (Switch.AdmitWorkload, fpisa-query
 // -admit -profile). The admission validates before any state moves —
 // unknown octets, guard bits that leave the mantissa register no headroom
 // (Headroom() < 1) and RNE without a guard bit to round on are refused
@@ -103,7 +103,7 @@
 //	vacant ──admit──▶ admitted ──evict──▶ draining ──release──▶ vacant
 //
 // Admit (MsgJobAdmit over the observer frame, fpisa-query -admit, or the
-// in-process Switch.Admit) allocates a range from the free-list, zeroes
+// in-process Switch.AdmitWorkload) allocates a range from the free-list, zeroes
 // the job's counters and publishes the binding; admission fails with
 // AckErrNoCapacity when every range is held. Evict (MsgJobEvict /
 // Switch.Evict) begins a drain: ADDs that would bind a NEW chunk are
@@ -146,70 +146,42 @@
 // from a range disjoint from the v1 type bytes (0..2): a legacy single-job
 // datagram is therefore recognized by its first byte and rejected with
 // ErrLegacyWire rather than misparsed. The second octet is the message
-// type; ADD/RESULT carry a 16-bit big-endian job id next. All integers are
-// big-endian.
+// type. ARCHITECTURE.md ("Wire format v2") is the one description of every
+// layout; TestWireLayoutDocMatchesEncoders keeps its fixed-size headings
+// in step with the encoders.
 //
-//	add    = [ver(1) type(1) job(2) chunk(4) epoch(1) values(W·M)]
-//	result = [ver(1) type(1) job(2) chunk(4) values(W·M) overflow(1)]
-//	run    = [ver(1) type(1) job(2) start(4) count(2)
-//	          { values(W·M) overflow(1) }·count]
-//	batch  = [ver(1) type(1) count(2) { len(2) msg }·count]
-//	stats  = [ver(1) type(1) job(2)]
-//	reply  = [ver(1) type(1) job(2) phase(1) weight(2) fmt(1) guard(1)
-//	          round(1) class(1) topn(2) groups(2) adds(8) retransmits(8)
-//	          completions(8) quotaDrops(8) schedDefers(8) outstanding(8)
-//	          cacheHits(8) cacheBytes(8) coalesced(8)]
-//	admit  = [ver(1) type(1) job(2) weight(2) fmt(1) guard(1) round(1)
-//	          class(1) topn(2) groups(2)]
-//	evict  = [ver(1) type(1) job(2)]
-//	ack    = [ver(1) type(1) job(2) status(1) epoch(1) weight(2) fmt(1)
-//	          guard(1) round(1) class(1) topn(2) groups(2)]
-//	tuple  = [ver(1) type(1) job(2) seq(4) epoch(1) op(1) count(2)
-//	          { key(4) val(4) }·count]
-//	tupack = [ver(1) type(1) job(2) seq(4) count(2) bitmap(⌈count/8⌉)]
-//	drain  = [ver(1) type(1) job(2) kind(1) flags(1) nonce(4)]
-//	dreply = [ver(1) type(1) job(2) kind(1) count(2) { key(4) val(4) }·count]
+// Each message has one codec. ADD and RESULT values travel in the job's
+// negotiated wire format (EncodeAdd and DecodeResult take the
+// NumericProfile; an ADD whose length disagrees with its job's profile is
+// rejected as malformed). The admit request and the lifecycle ack each
+// move one struct, JobAdmit and JobAck: the admit names the tenant's
+// scheduler weight, numeric profile and workload class, and every ack
+// echoes the job's live weight, profile and class next to its incarnation
+// epoch — a successful admit's ack is the operator's receipt for what the
+// switch will actually enforce (a requested weight 0 comes back as the
+// clamped 1). Decoders never clamp or validate, so a decode/encode round
+// trip is byte-exact even for frames the switch would refuse; they
+// bounds-check every field (truncation wraps ErrTruncated), reject
+// trailing bytes, and are fuzzed (FuzzDecodeResult, FuzzDecodeResultRun,
+// FuzzDecodeStatsReply, FuzzDecodeJobAck, FuzzDecodeJobAdmit,
+// FuzzDecodeTuples, FuzzDecodeTupleAck, FuzzDecodeDrainReply).
 //
 // The run reply (MsgResultRun) is the range-coalesced downlink: when one
 // batch completes consecutive chunks of a job, the switch answers a single
-// run carrying count ≥ 2 result bodies for chunks start..start+count−1
-// instead of count individual RESULTs (JobStats.Coalesced counts chunks
-// delivered this way). Each chunk's RESULT stays individually cached, so
-// retransmit-driven replays still answer per chunk.
+// run carrying count ≥ 2 result bodies instead of count individual RESULTs
+// (JobStats.Coalesced counts chunks delivered this way). Each chunk's
+// RESULT stays individually cached, so retransmit-driven replays still
+// answer per chunk.
 //
-// W is the job's negotiated value width: 4 bytes under the f32 profile, 2
-// under f16/bf16 — an ADD whose length disagrees with its job's profile is
-// rejected as malformed. The admit request names the tenant's scheduler
-// weight, numeric profile (the fmt/guard/round octets) and workload class
-// (the class/topn/groups octets, see below), and every ack echoes the
-// job's live weight, profile and class next to its incarnation epoch — a
-// successful admit's ack is the operator's receipt for what the switch
-// will actually enforce (a requested weight 0 comes back as the clamped
-// 1). Decoders return the profile and class octets exactly as carried;
-// validation is the admission path's job, so a decode/encode round trip is
-// byte-exact even for frames the switch would refuse.
-//
-// A batch frames complete messages (each with its own version octet); a
-// batch framed inside a batch is rejected (ErrNestedBatch), so decoding
-// never recurses. Only ADDs may ride in an uplink batch. Fixed-layout
-// downlink messages (reply, ack) are decoded with full bounds checks: a
-// truncated frame returns a wire error wrapping ErrTruncated rather than
-// panicking the client, and the decoders are fuzzed alongside the batch
-// framing (FuzzDecodeStatsReply, FuzzDecodeJobAck, FuzzDecodeJobAdmit,
-// FuzzDecodeTuples, FuzzDecodeTupleAck, FuzzDecodeDrainReply).
-//
-// MsgBatch remains the in-protocol coalescing format for compatibility,
-// but the hot path no longer needs it: packets cross the transport as
-// VECTORS (transport.BatchHandler / Fabric.SendBatch), and the UDP fabric
-// coalesces a vector into its own batch-framed datagrams below this wire
-// format. Both shapes are accepted on ingest.
+// Coalescing several messages into one datagram is the transport's job:
+// packets cross it as VECTORS (transport.BatchHandler / Fabric.SendBatch),
+// and the UDP fabric packs a vector into its own batch-framed datagrams
+// below this wire format. Type 2, the retired wire-level batch, is
+// reserved and refused as malformed.
 //
 // The v2 layouts are versioned against v1, not against each other: they
-// evolve with the repository (this revision widened the stats reply, the
-// admit request and the ack with the workload-class octets, after earlier
-// revisions added the numeric-profile octets and the scheduler's weight
-// fields), and peers are expected to be built from the same commit —
-// mixed-commit deployments are not supported.
+// evolve with the repository, and peers are expected to be built from the
+// same commit — mixed-commit deployments are not supported.
 //
 // # Workload classes (query & telemetry tenants)
 //
@@ -279,8 +251,7 @@
 // destination shard, and each shard's share of the batch runs under ONE
 // lock acquisition — one lock round per shard per batch rather than one
 // per chunk, the packet-vector-per-pipeline-pass shape SwitchML-class
-// data planes aggregate at. Switch.Handle remains as the single-packet
-// shim over the same path.
+// data planes aggregate at.
 //
 // # Slot protocol
 //

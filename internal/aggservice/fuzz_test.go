@@ -3,57 +3,11 @@ package aggservice
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 
 	"fpisa/internal/core"
 )
-
-// FuzzDecodeBatch fuzzes the framing decoder: it must never panic, never
-// accept legacy or nested framing, and on success the frames must
-// round-trip through EncodeBatch byte for byte.
-func FuzzDecodeBatch(f *testing.F) {
-	// Seed corpus: the interesting shapes the satellite fix targets.
-	valid := EncodeBatch([][]byte{
-		EncodeAdd(0, 1, []float32{1.5}),
-		EncodeAdd(1, 2, []float32{-2.5}),
-	})
-	f.Add(valid)
-	f.Add(EncodeBatch(nil))
-	f.Add(EncodeBatch([][]byte{EncodeBatch([][]byte{EncodeAdd(0, 0, []float32{1})})})) // nested
-	f.Add(valid[:len(valid)-3])                                                        // truncated body
-	f.Add(append(append([]byte(nil), valid...), 1, 2, 3))                              // trailing bytes
-	f.Add([]byte{MsgBatch, 0, 2, 0, 1, 7})                                             // legacy v1 batch
-	f.Add([]byte{WireVersion, MsgBatch, 0xff, 0xff})                                   // count overstates frames
-	f.Add([]byte{WireVersion, MsgBatch, 0, 1, 0, 0})                                   // empty inner message
-	f.Add([]byte{0x00})                                                                // legacy single byte... short
-	f.Add([]byte{WireVersion})                                                         // short v2
-
-	f.Fuzz(func(t *testing.T, pkt []byte) {
-		msgs, err := DecodeBatch(pkt)
-		if err != nil {
-			return
-		}
-		// Invariants of every accepted batch:
-		if pkt[0] != WireVersion || pkt[1] != MsgBatch {
-			t.Fatalf("accepted non-batch header %v", pkt[:2])
-		}
-		total := batchHdrBytes
-		for i, m := range msgs {
-			total += 2 + len(m)
-			if len(m) >= 2 && m[0] == WireVersion && m[1] == MsgBatch {
-				t.Fatalf("message %d: nested batch survived decode", i)
-			}
-		}
-		if total != len(pkt) {
-			t.Fatalf("frames cover %d of %d bytes", total, len(pkt))
-		}
-		// Round trip: re-encoding the decoded frames reproduces the
-		// packet exactly.
-		if re := EncodeBatch(msgs); !bytes.Equal(re, pkt) {
-			t.Fatalf("re-encode mismatch:\n got %v\nwant %v", re, pkt)
-		}
-	})
-}
 
 // FuzzDecodeStatsReply fuzzes the stats codec the satellite fix hardened:
 // it must never panic on truncated or oversized replies, identify
@@ -108,23 +62,23 @@ func FuzzDecodeStatsReply(f *testing.F) {
 // every prior (now truncated) layout alongside the current one.
 func FuzzDecodeJobAck(f *testing.F) {
 	rne := core.NumericProfile{Format: core.FormatF16, Guard: 3, Rounding: core.RoundingRNE}
-	f.Add(EncodeJobAck(1, AckAdmitted, 0, 1))
-	f.Add(EncodeJobAckProfile(65535, AckErrDisabled, 255, MaxWeight, rne))
-	f.Add(EncodeJobAckProfile(7, AckBackpressure, 3, 4, core.NumericProfile{Format: core.FormatBF16}))
-	f.Add(EncodeJobAckProfile(2, AckErrBadProfile, 0, 1, core.NumericProfile{Format: 0xFF, Guard: 0xFF, Rounding: 0xFF})) // junk octets: carried, not clamped
-	f.Add(EncodeJobAckClass(3, AckAdmitted, 1, 2, rne, AdmitClass{Class: ClassQuery, TopN: 10, Groups: 1024}))
-	f.Add(EncodeJobAckClass(4, AckAdmitted, 0, 1, rne, AdmitClass{Class: ClassTelemetry, Groups: 16}))
-	f.Add(EncodeJobAckClass(5, AckErrBadClass, 0, 1, rne, AdmitClass{Class: 0xEE, TopN: 65535, Groups: 65535})) // junk class: carried, refused later
-	f.Add(EncodeJobAck(0, AckEvicted, 1, 0)[:3])
-	f.Add(EncodeJobAck(0, AckAdmitted, 0, 9)[:6])  // the pre-weight 6-byte layout
-	f.Add(EncodeJobAck(0, AckAdmitted, 0, 9)[:8])  // the pre-profile 8-byte layout
-	f.Add(EncodeJobAck(0, AckAdmitted, 0, 9)[:11]) // the pre-class 11-byte layout
-	f.Add(append(EncodeJobAckProfile(0, AckDraining, 2, 1, rne), 1, 2))
+	f.Add(EncodeJobAck(JobAck{Job: 1, Status: AckAdmitted, Weight: 1}))
+	f.Add(EncodeJobAck(JobAck{Job: 65535, Status: AckErrDisabled, Epoch: 255, Weight: MaxWeight, Profile: rne}))
+	f.Add(EncodeJobAck(JobAck{Job: 7, Status: AckBackpressure, Epoch: 3, Weight: 4, Profile: core.NumericProfile{Format: core.FormatBF16}}))
+	f.Add(EncodeJobAck(JobAck{Job: 2, Status: AckErrBadProfile, Weight: 1, Profile: core.NumericProfile{Format: 0xFF, Guard: 0xFF, Rounding: 0xFF}})) // junk octets: carried, not clamped
+	f.Add(EncodeJobAck(JobAck{Job: 3, Status: AckAdmitted, Epoch: 1, Weight: 2, Profile: rne, Class: AdmitClass{Class: ClassQuery, TopN: 10, Groups: 1024}}))
+	f.Add(EncodeJobAck(JobAck{Job: 4, Status: AckAdmitted, Weight: 1, Profile: rne, Class: AdmitClass{Class: ClassTelemetry, Groups: 16}}))
+	f.Add(EncodeJobAck(JobAck{Job: 5, Status: AckErrBadClass, Weight: 1, Profile: rne, Class: AdmitClass{Class: 0xEE, TopN: 65535, Groups: 65535}})) // junk class: carried, refused later
+	f.Add(EncodeJobAck(JobAck{Job: 0, Status: AckEvicted, Epoch: 1})[:3])
+	f.Add(EncodeJobAck(JobAck{Job: 0, Status: AckAdmitted, Weight: 9})[:6])  // the pre-weight 6-byte layout
+	f.Add(EncodeJobAck(JobAck{Job: 0, Status: AckAdmitted, Weight: 9})[:8])  // the pre-profile 8-byte layout
+	f.Add(EncodeJobAck(JobAck{Job: 0, Status: AckAdmitted, Weight: 9})[:11]) // the pre-class 11-byte layout
+	f.Add(append(EncodeJobAck(JobAck{Job: 0, Status: AckDraining, Epoch: 2, Weight: 1, Profile: rne}), 1, 2))
 	f.Add([]byte{WireVersion, MsgJobAck, 0, 0, 200, 0, 0, 0, 0, 0, 0}) // status out of range
 	f.Add([]byte{MsgAdd, 0, 0, 0, 0})                                  // legacy framing
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
-		job, status, epoch, weight, prof, class, err := DecodeJobAckClass(pkt)
+		a, err := DecodeJobAck(pkt)
 		if err != nil {
 			if len(pkt) >= 2 && pkt[0] == WireVersion && pkt[1] == MsgJobAck &&
 				len(pkt) < jobAckBytes && !errors.Is(err, ErrTruncated) {
@@ -132,11 +86,11 @@ func FuzzDecodeJobAck(f *testing.F) {
 			}
 			return
 		}
-		if re := EncodeJobAckClass(job, status, epoch, weight, prof, class); !bytes.Equal(re, pkt) {
+		if re := EncodeJobAck(a); !bytes.Equal(re, pkt) {
 			t.Fatalf("re-encode mismatch:\n got %v\nwant %v", re, pkt)
 		}
-		if status.Err() == nil && status != AckAdmitted && status != AckEvicting {
-			t.Fatalf("status %v decoded but maps to no error and no success", status)
+		if a.Status.Err() == nil && a.Status != AckAdmitted && a.Status != AckEvicting {
+			t.Fatalf("status %v decoded but maps to no error and no success", a.Status)
 		}
 	})
 }
@@ -148,26 +102,25 @@ func FuzzDecodeJobAck(f *testing.F) {
 // wire; an invalid profile must survive decoding so the switch can refuse
 // it with AckErrBadProfile).
 func FuzzDecodeJobAdmit(f *testing.F) {
-	f.Add(EncodeJobAdmit(0))
-	f.Add(EncodeJobAdmitWeight(1, 4))
-	f.Add(EncodeJobAdmitProfile(65535, MaxWeight,
-		core.NumericProfile{Format: core.FormatBF16, Guard: 4, Rounding: core.RoundingRNE}))
-	f.Add(EncodeJobAdmitProfile(5, 1, core.NumericProfile{Format: core.FormatF16}))
-	f.Add(EncodeJobAdmitProfile(6, 1, core.NumericProfile{Format: 0x7F, Guard: 0xFF, Rounding: 9})) // invalid: carried, refused later
-	f.Add(EncodeJobAdmitClass(7, 2, core.DefaultProfile, AdmitClass{Class: ClassQuery, TopN: 10, Groups: 1024}))
-	f.Add(EncodeJobAdmitClass(8, 1, core.DefaultProfile, AdmitClass{Class: ClassTelemetry, Groups: 16}))
-	f.Add(EncodeJobAdmitClass(9, 1, core.DefaultProfile, AdmitClass{Class: 0xEE, TopN: 65535, Groups: 65535})) // junk class: carried, refused later
-	f.Add(EncodeJobAdmitWeight(2, 0))                                                                          // weight 0: carried, clamped later
-	f.Add(EncodeJobAdmit(3)[:4])                                                                               // the old weightless layout
-	f.Add(EncodeJobAdmit(3)[:6])                                                                               // the pre-profile layout
-	f.Add(EncodeJobAdmit(3)[:9])                                                                               // the pre-class layout
-	f.Add(EncodeJobAdmit(0)[:1])                                                                               // short v2
-	f.Add(append(EncodeJobAdmit(0), 7))                                                                        // trailing byte
-	f.Add(EncodeJobEvict(1))                                                                                   // wrong type
-	f.Add([]byte{MsgAdd, 0, 0, 0})                                                                             // legacy framing
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 0, Weight: 1}))
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 1, Weight: 4}))
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 65535, Weight: MaxWeight, Profile: core.NumericProfile{Format: core.FormatBF16, Guard: 4, Rounding: core.RoundingRNE}}))
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 5, Weight: 1, Profile: core.NumericProfile{Format: core.FormatF16}}))
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 6, Weight: 1, Profile: core.NumericProfile{Format: 0x7F, Guard: 0xFF, Rounding: 9}})) // invalid: carried, refused later
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 7, Weight: 2, Profile: core.DefaultProfile, Class: AdmitClass{Class: ClassQuery, TopN: 10, Groups: 1024}}))
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 8, Weight: 1, Profile: core.DefaultProfile, Class: AdmitClass{Class: ClassTelemetry, Groups: 16}}))
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 9, Weight: 1, Profile: core.DefaultProfile, Class: AdmitClass{Class: 0xEE, TopN: 65535, Groups: 65535}})) // junk class: carried, refused later
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 2, Weight: 0}))                                                                                           // weight 0: carried, clamped later
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 3, Weight: 1})[:4])                                                                                       // the old weightless layout
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 3, Weight: 1})[:6])                                                                                       // the pre-profile layout
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 3, Weight: 1})[:9])                                                                                       // the pre-class layout
+	f.Add(EncodeJobAdmit(JobAdmit{Job: 0, Weight: 1})[:1])                                                                                       // short v2
+	f.Add(append(EncodeJobAdmit(JobAdmit{Job: 0, Weight: 1}), 7))                                                                                // trailing byte
+	f.Add(EncodeJobEvict(1))                                                                                                                     // wrong type
+	f.Add([]byte{MsgAdd, 0, 0, 0})                                                                                                               // legacy framing
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
-		job, weight, prof, class, err := DecodeJobAdmitClass(pkt)
+		m, err := DecodeJobAdmit(pkt)
 		if err != nil {
 			if len(pkt) >= 2 && pkt[0] == WireVersion && pkt[1] == MsgJobAdmit &&
 				len(pkt) < jobAdmitBytes && !errors.Is(err, ErrTruncated) {
@@ -178,7 +131,7 @@ func FuzzDecodeJobAdmit(f *testing.F) {
 		if len(pkt) != jobAdmitBytes {
 			t.Fatalf("accepted a %d-byte admit", len(pkt))
 		}
-		if re := EncodeJobAdmitClass(job, weight, prof, class); !bytes.Equal(re, pkt) {
+		if re := EncodeJobAdmit(m); !bytes.Equal(re, pkt) {
 			t.Fatalf("re-encode mismatch:\n got %v\nwant %v", re, pkt)
 		}
 	})
@@ -333,16 +286,7 @@ func FuzzDecodeResultRun(f *testing.F) {
 	}
 	const modules = 3
 	item := func(prof core.NumericProfile, job int, chunk uint32, vals []float32, ovf bool) []byte {
-		w := prof.ValueBytes()
-		pkt := make([]byte, resultBytesProf(len(vals), prof))
-		putHeader(pkt, MsgResult, job, chunk)
-		for i, v := range vals {
-			prof.PutValue(pkt[hdrBytes+w*i:], v)
-		}
-		if ovf {
-			pkt[hdrBytes+w*len(vals)] = 1
-		}
-		return pkt
+		return encodeResult(job, chunk, prof, vals, ovf)
 	}
 	for sel, prof := range profiles {
 		one := encodeResultRun(7, 42, [][]byte{
@@ -355,11 +299,11 @@ func FuzzDecodeResultRun(f *testing.F) {
 		})
 		f.Add(byte(sel), one)
 		f.Add(byte(sel), three)
-		f.Add(byte(sel), three[:len(three)-2])                          // truncated final item
-		f.Add(byte(sel), append(append([]byte(nil), one...), 0xbb))     // trailing byte
-		f.Add(byte(sel), one[:runHdrBytes-1])                           // truncated header
-		f.Add(byte(sel), one[:runHdrBytes])                             // header only, count 1, no items
-		f.Add(byte(sel), func() []byte {                                // count 0
+		f.Add(byte(sel), three[:len(three)-2])                      // truncated final item
+		f.Add(byte(sel), append(append([]byte(nil), one...), 0xbb)) // trailing byte
+		f.Add(byte(sel), one[:runHdrBytes-1])                       // truncated header
+		f.Add(byte(sel), one[:runHdrBytes])                         // header only, count 1, no items
+		f.Add(byte(sel), func() []byte {                            // count 0
 			p := append([]byte(nil), one...)
 			p[hdrBytes] = 0
 			p[hdrBytes+1] = 0
@@ -371,9 +315,9 @@ func FuzzDecodeResultRun(f *testing.F) {
 			return p
 		}())
 	}
-	f.Add(byte(0), []byte{WireVersion, MsgResult, 0, 0})  // wrong type
-	f.Add(byte(0), []byte{MsgResult, 0, 0, 0})            // legacy framing
-	f.Add(byte(0), []byte{WireVersion})                   // short v2
+	f.Add(byte(0), []byte{WireVersion, MsgResult, 0, 0}) // wrong type
+	f.Add(byte(0), []byte{MsgResult, 0, 0, 0})           // legacy framing
+	f.Add(byte(0), []byte{WireVersion})                  // short v2
 
 	f.Fuzz(func(t *testing.T, sel byte, pkt []byte) {
 		prof := profiles[int(sel)%len(profiles)]
@@ -435,6 +379,83 @@ func FuzzDecodeResultRun(f *testing.F) {
 				if a != b && !(a != a && b != b) {
 					t.Fatalf("NaN run re-decode: item %d module %d %v→%v", i, m, a, b)
 				}
+			}
+		}
+	})
+}
+
+// FuzzDecodeResult fuzzes the per-chunk RESULT decoder Worker.Reduce and a
+// leaf's uplink run on whatever the network delivers: no panics,
+// truncation identified as ErrTruncated, and every accepted packet
+// round-trips through encodeResult under f32, f16 and bf16. The selector
+// byte picks the profile, since the value width sets the packet length.
+func FuzzDecodeResult(f *testing.F) {
+	profiles := []core.NumericProfile{
+		core.DefaultProfile,
+		{Format: core.FormatF16},
+		{Format: core.FormatBF16},
+	}
+	const modules = 2
+	for sel, prof := range profiles {
+		valid := encodeResult(7, 42, prof, []float32{1.5, -2}, false)
+		f.Add(byte(sel), valid)
+		f.Add(byte(sel), encodeResult(65535, 0xFFFFFFFF, prof, []float32{0, 65504}, true))
+		f.Add(byte(sel), valid[:hdrBytes])                            // header only
+		f.Add(byte(sel), valid[:len(valid)-1])                        // overflow octet missing
+		f.Add(byte(sel), append(append([]byte(nil), valid...), 0xee)) // trailing byte
+		f.Add(byte(sel), func() []byte {                              // NaN payloads in every value slot
+			p := append([]byte(nil), valid...)
+			for i := hdrBytes; i < len(p)-1; i++ {
+				p[i] = 0xff
+			}
+			return p
+		}())
+		f.Add(byte(sel), func() []byte { // nonzero overflow octet other than 1
+			p := append([]byte(nil), valid...)
+			p[len(p)-1] = 0x80
+			return p
+		}())
+	}
+	f.Add(byte(0), []byte{WireVersion, MsgResultRun, 0, 0}) // wrong type
+	f.Add(byte(0), []byte{MsgResult, 0, 0, 0})              // legacy framing
+	f.Add(byte(0), []byte{WireVersion})                     // short v2
+
+	f.Fuzz(func(t *testing.T, sel byte, pkt []byte) {
+		prof := profiles[int(sel)%len(profiles)]
+		job, chunk, vals, ovf, err := DecodeResult(pkt, modules, prof)
+		if err != nil {
+			if len(pkt) >= 2 && pkt[0] == WireVersion && pkt[1] == MsgResult &&
+				len(pkt) < resultBytes(modules, prof) && !errors.Is(err, ErrTruncated) {
+				t.Fatalf("short result error %v does not wrap ErrTruncated", err)
+			}
+			return
+		}
+		if len(pkt) != resultBytes(modules, prof) || len(vals) != modules {
+			t.Fatalf("accepted a %d-byte result with %d values", len(pkt), len(vals))
+		}
+		// The overflow octet is a wire boolean (any nonzero byte decodes as
+		// true and re-encodes as 1), and the 16-bit widen/narrow pair may
+		// quiet a NaN payload: compare the re-encoding against the
+		// canonical packet, then require decode∘encode to be the identity.
+		re := encodeResult(job, chunk, prof, vals, ovf)
+		canon := append([]byte(nil), pkt...)
+		if canon[len(canon)-1] != 0 {
+			canon[len(canon)-1] = 1
+		}
+		hasNaN := false
+		for _, v := range vals {
+			hasNaN = hasNaN || v != v
+		}
+		if !hasNaN && !bytes.Equal(re, canon) {
+			t.Fatalf("re-encode mismatch:\n got %v\nwant %v", re, canon)
+		}
+		job2, chunk2, vals2, ovf2, err := DecodeResult(re, modules, prof)
+		if err != nil || job2 != job || chunk2 != chunk || ovf2 != ovf {
+			t.Fatalf("re-decode: job %d→%d chunk %d→%d overflow %v→%v err %v", job, job2, chunk, chunk2, ovf, ovf2, err)
+		}
+		for i := range vals {
+			if math.Float32bits(vals[i]) != math.Float32bits(vals2[i]) {
+				t.Fatalf("re-decode: value %d %v→%v", i, vals[i], vals2[i])
 			}
 		}
 	})

@@ -16,7 +16,7 @@ import (
 //
 // A job id moves through three phases:
 //
-//	vacant ──Admit──▶ admitted ──Evict──▶ draining ──release──▶ vacant
+//	vacant ──AdmitWorkload──▶ admitted ──Evict──▶ draining ──release──▶ vacant
 //
 // Admission allocates a 2·Pool slot range from the free-list and binds it
 // through the indirection table (jobState.rangeIdx). Eviction first drains:
@@ -25,8 +25,9 @@ import (
 // when the last outstanding slot completes — or DrainTimeout passes — the
 // range is reset and returned to the free-list for the next admission.
 
-// Lifecycle errors. Admit/Evict return these; the wire control plane maps
-// them to AckStatus codes (and back, on the client).
+// Lifecycle errors. AdmitWorkload/Evict return these; the wire control
+// plane maps them to AckStatus codes through ackErrs (and back, on the
+// client).
 var (
 	// ErrUnknownJob names a job id outside the switch's capacity.
 	ErrUnknownJob = errors.New("aggservice: job id outside the switch's capacity")
@@ -90,7 +91,7 @@ func (p JobPhase) String() string {
 type LifecycleEvent uint8
 
 const (
-	// EventAdmitted fires when Admit binds a job to a slot range.
+	// EventAdmitted fires when AdmitWorkload binds a job to a slot range.
 	EventAdmitted LifecycleEvent = iota
 	// EventDraining fires when Evict begins draining a job.
 	EventDraining
@@ -186,107 +187,95 @@ func (a AckStatus) String() string {
 	return fmt.Sprintf("AckStatus(%d)", uint8(a))
 }
 
+// ackErrs is the one status↔error table: AckStatus.Err reads it forward,
+// and ackStatusOf reads it backward to answer a refused wire admit/evict
+// with the status its error names. A nil entry is a success status.
+var ackErrs = [...]error{
+	AckAdmitted:           nil,
+	AckEvicting:           nil,
+	AckEvicted:            ErrJobEvicted,
+	AckDraining:           ErrJobEvicted,
+	AckErrUnknownJob:      ErrUnknownJob,
+	AckErrNotAdmitted:     ErrNotAdmitted,
+	AckErrAlreadyAdmitted: ErrAlreadyAdmitted,
+	AckErrDraining:        ErrJobDraining,
+	AckErrNoCapacity:      ErrNoCapacity,
+	AckErrDisabled:        ErrLifecycleDisabled,
+	AckBackpressure:       ErrBackpressure,
+	AckErrBadProfile:      ErrBadProfile,
+	AckErrBadClass:        ErrBadClass,
+}
+
 // Err maps an ack status back to its sentinel error: nil for the success
 // acks, ErrJobEvicted for the worker notices, and the matching lifecycle
 // error otherwise — so a wire client can errors.Is exactly like an
 // in-process caller.
 func (a AckStatus) Err() error {
-	switch a {
-	case AckAdmitted, AckEvicting:
-		return nil
-	case AckEvicted, AckDraining:
-		return ErrJobEvicted
-	case AckErrUnknownJob:
-		return ErrUnknownJob
-	case AckErrNotAdmitted:
-		return ErrNotAdmitted
-	case AckErrAlreadyAdmitted:
-		return ErrAlreadyAdmitted
-	case AckErrDraining:
-		return ErrJobDraining
-	case AckErrNoCapacity:
-		return ErrNoCapacity
-	case AckErrDisabled:
-		return ErrLifecycleDisabled
-	case AckBackpressure:
-		return ErrBackpressure
-	case AckErrBadProfile:
-		return ErrBadProfile
-	case AckErrBadClass:
-		return ErrBadClass
+	if int(a) < len(ackErrs) {
+		return ackErrs[a]
 	}
 	return fmt.Errorf("aggservice: unknown ack status %d", uint8(a))
 }
 
-// EncodeJobAdmit builds an operator request to admit job at runtime with
-// the default scheduler weight 1.
-func EncodeJobAdmit(job int) []byte { return EncodeJobAdmitWeight(job, 1) }
-
-// EncodeJobAdmitWeight builds an operator request to admit job with the
-// given deficit-round-robin scheduler weight and the default (f32) numeric
-// profile. The switch clamps weight 0 to 1 (the ack reveals the clamp: it
-// echoes the weight actually applied).
-func EncodeJobAdmitWeight(job, weight int) []byte {
-	return EncodeJobAdmitProfile(job, weight, core.DefaultProfile)
+// ackStatusOf maps a lifecycle error to the first status whose sentinel it
+// wraps — including a refusal relayed from a tree leaf's parent. Errors
+// with no status of their own (an unreachable parent, a bad weight) answer
+// AckErrUnknownJob.
+func ackStatusOf(err error) AckStatus {
+	for st, e := range ackErrs {
+		if e != nil && errors.Is(err, e) {
+			return AckStatus(st)
+		}
+	}
+	return AckErrUnknownJob
 }
 
-// EncodeJobAdmitProfile builds an operator request to admit job with a
-// scheduler weight and a numeric profile, as a training job. The switch
-// validates the profile at admission (AckErrBadProfile on refusal) and
-// echoes the applied profile in the ack, so the operator learns exactly
-// what arithmetic the job got.
-func EncodeJobAdmitProfile(job, weight int, prof core.NumericProfile) []byte {
-	return EncodeJobAdmitClass(job, weight, prof, AdmitClass{})
+// JobAdmit is a MsgJobAdmit request: admit Job at runtime with a
+// deficit-round-robin scheduler weight, a numeric profile and a workload
+// class. Weight 0 means unspecified (the switch clamps it to 1); the zero
+// Profile is f32/trunc and the zero Class is training. The switch
+// validates all three at admission and echoes what it applied in the ack.
+type JobAdmit struct {
+	Job, Weight int
+	Profile     core.NumericProfile
+	Class       AdmitClass
 }
 
-// EncodeJobAdmitClass builds an operator request to admit job under a
-// workload class: training (the zero descriptor), query or telemetry. The
-// switch validates the descriptor at admission (AckErrBadClass on refusal)
-// and echoes the applied class in the ack.
-func EncodeJobAdmitClass(job, weight int, prof core.NumericProfile, ac AdmitClass) []byte {
+// EncodeJobAdmit builds an operator request to admit a job at runtime.
+func EncodeJobAdmit(m JobAdmit) []byte {
 	pkt := make([]byte, jobAdmitBytes)
 	pkt[0] = WireVersion
 	pkt[1] = MsgJobAdmit
-	binary.BigEndian.PutUint16(pkt[2:], uint16(job))
-	binary.BigEndian.PutUint16(pkt[4:], uint16(weight))
-	putProfile(pkt[6:], prof)
-	putAdmitClass(pkt[6+profileBytes:], ac)
+	binary.BigEndian.PutUint16(pkt[2:], uint16(m.Job))
+	binary.BigEndian.PutUint16(pkt[4:], uint16(m.Weight))
+	putProfile(pkt[6:], m.Profile)
+	putAdmitClass(pkt[6+profileBytes:], m.Class)
 	return pkt
 }
 
-// DecodeJobAdmit parses a MsgJobAdmit, dropping the profile and class
-// descriptors.
-func DecodeJobAdmit(pkt []byte) (job, weight int, err error) {
-	job, weight, _, _, err = DecodeJobAdmitClass(pkt)
-	return job, weight, err
-}
-
-// DecodeJobAdmitProfile parses a MsgJobAdmit, dropping the class
-// descriptor.
-func DecodeJobAdmitProfile(pkt []byte) (job, weight int, prof core.NumericProfile, err error) {
-	job, weight, prof, _, err = DecodeJobAdmitClass(pkt)
-	return job, weight, prof, err
-}
-
-// DecodeJobAdmitClass parses a MsgJobAdmit. Safe on arbitrary input:
-// truncation returns a wire error wrapping ErrTruncated, oversized frames
-// are rejected. The weight, profile and class are returned as carried —
-// the admission path, not the decoder, clamps weight 0 to 1 and validates
-// the profile and class, so a round trip is byte-exact.
-func DecodeJobAdmitClass(pkt []byte) (job, weight int, prof core.NumericProfile, ac AdmitClass, err error) {
+// DecodeJobAdmit parses a MsgJobAdmit. Safe on arbitrary input: truncation
+// returns a wire error wrapping ErrTruncated, oversized frames are
+// rejected. The weight, profile and class are returned as carried — the
+// admission path, not the decoder, clamps weight 0 to 1 and validates the
+// profile and class, so a round trip is byte-exact.
+func DecodeJobAdmit(pkt []byte) (JobAdmit, error) {
 	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, prof, ac, fmt.Errorf("bad job admit: %w", terr)
+		return JobAdmit{}, fmt.Errorf("bad job admit: %w", terr)
 	} else if typ != MsgJobAdmit {
-		return 0, 0, prof, ac, fmt.Errorf("aggservice: bad job admit type")
+		return JobAdmit{}, fmt.Errorf("aggservice: bad job admit type")
 	}
 	if len(pkt) < jobAdmitBytes {
-		return 0, 0, prof, ac, fmt.Errorf("job admit %d of %d bytes: %w", len(pkt), jobAdmitBytes, ErrTruncated)
+		return JobAdmit{}, fmt.Errorf("job admit %d of %d bytes: %w", len(pkt), jobAdmitBytes, ErrTruncated)
 	}
 	if len(pkt) > jobAdmitBytes {
-		return 0, 0, prof, ac, fmt.Errorf("aggservice: %d trailing bytes after job admit", len(pkt)-jobAdmitBytes)
+		return JobAdmit{}, fmt.Errorf("aggservice: %d trailing bytes after job admit", len(pkt)-jobAdmitBytes)
 	}
-	return int(binary.BigEndian.Uint16(pkt[2:])), int(binary.BigEndian.Uint16(pkt[4:])),
-		getProfile(pkt[6:]), getAdmitClass(pkt[6+profileBytes:]), nil
+	return JobAdmit{
+		Job:     int(binary.BigEndian.Uint16(pkt[2:])),
+		Weight:  int(binary.BigEndian.Uint16(pkt[4:])),
+		Profile: getProfile(pkt[6:]),
+		Class:   getAdmitClass(pkt[6+profileBytes:]),
+	}, nil
 }
 
 // EncodeJobEvict builds an operator request to evict (drain) job.
@@ -298,75 +287,65 @@ func EncodeJobEvict(job int) []byte {
 	return pkt
 }
 
-// EncodeJobAck builds a lifecycle status message carrying the job's
-// incarnation epoch octet — the value workers of a (re-)admitted job must
-// stamp into their ADDs (Worker.Epoch) — and its scheduler weight (the
-// weight an admit actually applied; 0 on notices where no live weight
-// exists, e.g. an evicted or unknown job), with the default (zero) numeric
-// profile descriptor.
-func EncodeJobAck(job int, status AckStatus, epoch uint8, weight int) []byte {
-	return EncodeJobAckProfile(job, status, epoch, weight, core.DefaultProfile)
+// JobAck is a MsgJobAck: a lifecycle status for Job plus the job's
+// incarnation epoch octet — what its workers stamp into their ADDs
+// (Worker.Epoch) — and its scheduler weight, numeric profile and workload
+// class. Control-plane replies echo the incarnation the request landed
+// on: for a successful admit, the NEW incarnation's epoch and the weight,
+// profile and class the switch actually applied. Worker-facing notices
+// carry the offending datagram's epoch, a weight of 0 where no live weight
+// exists, and the zero profile and class.
+type JobAck struct {
+	Job     int
+	Status  AckStatus
+	Epoch   uint8
+	Weight  int
+	Profile core.NumericProfile
+	Class   AdmitClass
 }
 
-// EncodeJobAckProfile builds a lifecycle status message that also echoes
-// the job's numeric profile — on a successful admit, the profile actually
-// applied, which the operator hands to the job's workers (Worker.Profile) —
-// with the zero (training) class descriptor.
-func EncodeJobAckProfile(job int, status AckStatus, epoch uint8, weight int, prof core.NumericProfile) []byte {
-	return EncodeJobAckClass(job, status, epoch, weight, prof, AdmitClass{})
-}
-
-// EncodeJobAckClass builds a lifecycle status message that also echoes the
-// job's workload-class descriptor — on a successful admit, the class
-// actually applied, which the operator hands to the job's tuple clients.
-func EncodeJobAckClass(job int, status AckStatus, epoch uint8, weight int, prof core.NumericProfile, ac AdmitClass) []byte {
+// EncodeJobAck builds a lifecycle status message.
+func EncodeJobAck(a JobAck) []byte {
 	pkt := make([]byte, jobAckBytes)
 	pkt[0] = WireVersion
 	pkt[1] = MsgJobAck
-	binary.BigEndian.PutUint16(pkt[2:], uint16(job))
-	pkt[4] = uint8(status)
-	pkt[5] = epoch
-	binary.BigEndian.PutUint16(pkt[6:], uint16(weight))
-	putProfile(pkt[8:], prof)
-	putAdmitClass(pkt[8+profileBytes:], ac)
+	binary.BigEndian.PutUint16(pkt[2:], uint16(a.Job))
+	pkt[4] = uint8(a.Status)
+	pkt[5] = a.Epoch
+	binary.BigEndian.PutUint16(pkt[6:], uint16(a.Weight))
+	putProfile(pkt[8:], a.Profile)
+	putAdmitClass(pkt[8+profileBytes:], a.Class)
 	return pkt
 }
 
-// DecodeJobAck parses a MsgJobAck, dropping the profile and class
-// descriptors.
-func DecodeJobAck(pkt []byte) (job int, status AckStatus, epoch uint8, weight int, err error) {
-	job, status, epoch, weight, _, _, err = DecodeJobAckClass(pkt)
-	return job, status, epoch, weight, err
-}
-
-// DecodeJobAckProfile parses a MsgJobAck, dropping the class descriptor.
-func DecodeJobAckProfile(pkt []byte) (job int, status AckStatus, epoch uint8, weight int, prof core.NumericProfile, err error) {
-	job, status, epoch, weight, prof, _, err = DecodeJobAckClass(pkt)
-	return job, status, epoch, weight, prof, err
-}
-
-// DecodeJobAckClass parses a MsgJobAck. Like DecodeStatsReply it is safe
-// on arbitrary input: truncation returns a wire error wrapping ErrTruncated.
-// The profile and class octets are returned as carried (never validated or
-// clamped), so a round trip is byte-exact.
-func DecodeJobAckClass(pkt []byte) (job int, status AckStatus, epoch uint8, weight int, prof core.NumericProfile, ac AdmitClass, err error) {
+// DecodeJobAck parses a MsgJobAck. Like DecodeStatsReply it is safe on
+// arbitrary input: truncation returns a wire error wrapping ErrTruncated,
+// and an unknown status is rejected. The profile and class octets are
+// returned as carried (never validated or clamped), so a round trip is
+// byte-exact.
+func DecodeJobAck(pkt []byte) (JobAck, error) {
 	if typ, terr := wireType(pkt); terr != nil {
-		return 0, 0, 0, 0, prof, ac, fmt.Errorf("bad job ack: %w", terr)
+		return JobAck{}, fmt.Errorf("bad job ack: %w", terr)
 	} else if typ != MsgJobAck {
-		return 0, 0, 0, 0, prof, ac, fmt.Errorf("aggservice: bad job ack type")
+		return JobAck{}, fmt.Errorf("aggservice: bad job ack type")
 	}
 	if len(pkt) < jobAckBytes {
-		return 0, 0, 0, 0, prof, ac, fmt.Errorf("job ack %d of %d bytes: %w", len(pkt), jobAckBytes, ErrTruncated)
+		return JobAck{}, fmt.Errorf("job ack %d of %d bytes: %w", len(pkt), jobAckBytes, ErrTruncated)
 	}
 	if len(pkt) > jobAckBytes {
-		return 0, 0, 0, 0, prof, ac, fmt.Errorf("aggservice: %d trailing bytes after job ack", len(pkt)-jobAckBytes)
+		return JobAck{}, fmt.Errorf("aggservice: %d trailing bytes after job ack", len(pkt)-jobAckBytes)
 	}
-	status = AckStatus(pkt[4])
-	if status > AckErrBadClass {
-		return 0, 0, 0, 0, prof, ac, fmt.Errorf("aggservice: unknown ack status %d", pkt[4])
+	if int(pkt[4]) >= len(ackErrs) {
+		return JobAck{}, fmt.Errorf("aggservice: unknown ack status %d", pkt[4])
 	}
-	return int(binary.BigEndian.Uint16(pkt[2:])), status, pkt[5], int(binary.BigEndian.Uint16(pkt[6:])),
-		getProfile(pkt[8:]), getAdmitClass(pkt[8+profileBytes:]), nil
+	return JobAck{
+		Job:     int(binary.BigEndian.Uint16(pkt[2:])),
+		Status:  AckStatus(pkt[4]),
+		Epoch:   pkt[5],
+		Weight:  int(binary.BigEndian.Uint16(pkt[6:])),
+		Profile: getProfile(pkt[8:]),
+		Class:   getAdmitClass(pkt[8+profileBytes:]),
+	}, nil
 }
 
 // handleLifecycle serves a wire MsgJobAdmit/MsgJobEvict. Only the
@@ -378,12 +357,10 @@ func (s *Switch) handleLifecycle(worker int, typ byte, pkt []byte, out *transpor
 		s.rejMalformed.Add(1)
 		return
 	}
-	var job, weight int
-	var prof core.NumericProfile
-	var ac AdmitClass
+	var req JobAdmit
 	if typ == MsgJobAdmit {
 		var derr error
-		if job, weight, prof, ac, derr = DecodeJobAdmitClass(pkt); derr != nil {
+		if req, derr = DecodeJobAdmit(pkt); derr != nil {
 			s.rejMalformed.Add(1)
 			return
 		}
@@ -392,64 +369,36 @@ func (s *Switch) handleLifecycle(worker int, typ byte, pkt []byte, out *transpor
 			s.rejMalformed.Add(1)
 			return
 		}
-		job = int(binary.BigEndian.Uint16(pkt[2:]))
+		req.Job = int(binary.BigEndian.Uint16(pkt[2:]))
 	}
-	ack := func(status AckStatus) {
-		// The echoed epoch, weight, profile and class are the incarnation
-		// the request landed on: for a successful admit that is the NEW
-		// incarnation's octet — which the operator hands to the job's
-		// workers — plus the weight, profile and class actually applied (a
-		// requested weight 0 comes back as the clamped 1, so the client
-		// can detect the clamp).
-		out.Unicast(worker, EncodeJobAckClass(job, status, s.JobEpoch(job), s.JobWeight(job), s.JobProfile(job), s.JobClass(job)))
-	}
-	if !s.cfg.Dynamic {
-		ack(AckErrDisabled)
-		return
-	}
+	job := req.Job
 	var err error
 	ok := AckAdmitted
-	if typ == MsgJobAdmit {
-		err = s.AdmitWorkload(job, weight, prof, ac)
-	} else {
+	switch {
+	case !s.cfg.Dynamic:
+		err = ErrLifecycleDisabled
+	case typ == MsgJobAdmit:
+		err = s.AdmitWorkload(job, req.Weight, req.Profile, req.Class)
+	default:
 		ok = AckEvicting
 		err = s.Evict(job)
 	}
-	switch {
-	case err == nil:
-		ack(ok)
-	case errors.Is(err, ErrUnknownJob):
-		ack(AckErrUnknownJob)
-	case errors.Is(err, ErrNotAdmitted):
-		ack(AckErrNotAdmitted)
-	case errors.Is(err, ErrAlreadyAdmitted):
-		ack(AckErrAlreadyAdmitted)
-	case errors.Is(err, ErrJobDraining):
-		ack(AckErrDraining)
-	case errors.Is(err, ErrNoCapacity):
-		ack(AckErrNoCapacity)
-	case errors.Is(err, ErrBadProfile):
-		ack(AckErrBadProfile)
-	case errors.Is(err, ErrBadClass):
-		ack(AckErrBadClass)
-	default:
-		ack(AckErrUnknownJob)
+	if err != nil {
+		ok = ackStatusOf(err)
 	}
+	// The echoed epoch, weight, profile and class are the incarnation the
+	// request landed on: for a successful admit that is the NEW
+	// incarnation's octet — which the operator hands to the job's workers —
+	// plus the weight, profile and class actually applied (a requested
+	// weight 0 comes back as the clamped 1, so the client can detect the
+	// clamp).
+	out.Unicast(worker, EncodeJobAck(JobAck{Job: job, Status: ok,
+		Epoch: s.JobEpoch(job), Weight: s.JobWeight(job), Profile: s.JobProfile(job), Class: s.JobClass(job)}))
 }
 
-// Admit brings a vacant job id live with the default scheduler weight 1,
-// allocating its slot range from the free-list and zeroing its counters
-// for the new incarnation.
-func (s *Switch) Admit(job int) error { return s.AdmitWeighted(job, 1) }
-
-// AdmitWeighted brings a vacant job id live with the given deficit-round-
-// robin scheduler weight and the default (f32, truncating) numeric profile.
-func (s *Switch) AdmitWeighted(job, weight int) error {
-	return s.AdmitProfile(job, weight, core.DefaultProfile)
-}
-
-// AdmitProfile brings a vacant job id live with the given deficit-round-
-// robin scheduler weight and numeric profile: under contention the job's
+// AdmitProfile brings a vacant job id live as a training job with the
+// given deficit-round-robin scheduler weight and numeric profile — exactly
+// AdmitWorkload with the zero class descriptor. Under contention the job's
 // new-chunk binds get weight shares of pipeline time relative to the other
 // admitted tenants, and every value the job aggregates runs through the
 // arithmetic the profile names. A weight of 0 (the wire's "unspecified") is
@@ -468,7 +417,7 @@ func (s *Switch) AdmitProfile(job, weight int, prof core.NumericProfile) error {
 }
 
 // AdmitWorkload brings a vacant job id live under a workload class. The
-// zero descriptor admits a training tenant exactly like AdmitProfile; a
+// zero descriptor admits a training tenant; a
 // query or telemetry descriptor provisions the job's analytics state — the
 // pruning registers, FPISA group accumulators, LPM classifier, heavy-hitter
 // rows and latency histogram the class calls for — on the job's home shard

@@ -121,8 +121,8 @@ func TestTwoProfilesShareOneSwitch(t *testing.T) {
 	}
 
 	// The 16-bit profile halves the ADD value payload relative to f32.
-	full := len(EncodeAddProfile(0, 0, 0, profF32G2, []float32{1, 2}))
-	half := len(EncodeAddProfile(1, 0, 0, profBF16, []float32{1, 2}))
+	full := len(EncodeAdd(0, 0, 0, profF32G2, []float32{1, 2}))
+	half := len(EncodeAdd(1, 0, 0, profBF16, []float32{1, 2}))
 	if want := full - 2*cfg.Modules; half != want {
 		t.Fatalf("bf16 ADD is %d bytes, f32 is %d; want %d", half, full, want)
 	}
@@ -178,16 +178,16 @@ func TestAdmitProfileRejections(t *testing.T) {
 		if err := sw.AdmitProfile(1, 1, tc.prof); !errors.Is(err, ErrBadProfile) {
 			t.Fatalf("%s: AdmitProfile = %v, want ErrBadProfile", tc.name, err)
 		}
-		ds := sw.Handle(ObserverWorker, EncodeJobAdmitProfile(1, 1, tc.prof))
+		ds := sw.Handle(ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, Weight: 1, Profile: tc.prof}))
 		if len(ds) != 1 {
 			t.Fatalf("%s: wire admit returned %d deliveries", tc.name, len(ds))
 		}
-		_, status, _, _, _, err := DecodeJobAckProfile(ds[0].Packet)
-		if err != nil || status != AckErrBadProfile {
-			t.Fatalf("%s: wire admit ack = %v (err %v), want AckErrBadProfile", tc.name, status, err)
+		a, err := DecodeJobAck(ds[0].Packet)
+		if err != nil || a.Status != AckErrBadProfile {
+			t.Fatalf("%s: wire admit ack = %v (err %v), want AckErrBadProfile", tc.name, a.Status, err)
 		}
-		if !errors.Is(status.Err(), ErrBadProfile) {
-			t.Fatalf("%s: status.Err() = %v", tc.name, status.Err())
+		if !errors.Is(a.Status.Err(), ErrBadProfile) {
+			t.Fatalf("%s: status.Err() = %v", tc.name, a.Status.Err())
 		}
 		if ph := sw.JobPhaseOf(1); ph != PhaseVacant {
 			t.Fatalf("%s: refused admit left job 1 %v", tc.name, ph)
@@ -212,16 +212,16 @@ func TestAdmitAckEchoesProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := sw.Handle(ObserverWorker, EncodeJobAdmitProfile(1, 3, profBF16))
+	ds := sw.Handle(ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, Weight: 3, Profile: profBF16}))
 	if len(ds) != 1 {
 		t.Fatalf("admit returned %d deliveries", len(ds))
 	}
-	job, status, epoch, weight, prof, err := DecodeJobAckProfile(ds[0].Packet)
-	if err != nil || job != 1 || status != AckAdmitted {
-		t.Fatalf("ack: job=%d status=%v err=%v", job, status, err)
+	a, err := DecodeJobAck(ds[0].Packet)
+	if err != nil || a.Job != 1 || a.Status != AckAdmitted {
+		t.Fatalf("ack: job=%d status=%v err=%v", a.Job, a.Status, err)
 	}
-	if weight != 3 || prof != profBF16 {
-		t.Fatalf("ack echoed weight=%d prof=%v, want 3, %v", weight, prof, profBF16)
+	if a.Weight != 3 || a.Profile != profBF16 {
+		t.Fatalf("ack echoed weight=%d prof=%v, want 3, %v", a.Weight, a.Profile, profBF16)
 	}
 
 	fab, err := transport.NewMemory(transport.MemoryConfig{Workers: cfg.Ports(), Handler: sw.Handle})
@@ -239,8 +239,8 @@ func TestAdmitAckEchoesProfile(t *testing.T) {
 			defer wg.Done()
 			wk := NewJobWorker(1, w, fab, cfg)
 			wk.Timeout = 30 * time.Millisecond
-			wk.Epoch = epoch
-			wk.Profile = prof
+			wk.Epoch = a.Epoch
+			wk.Profile = a.Profile
 			results[w], errs[w] = wk.Reduce(vecs[w])
 		}(w)
 	}
@@ -406,13 +406,13 @@ func TestWorkerProfileMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// f32-width ADD against a bf16 job: 4 extra bytes per module.
-	if ds := sw.Handle(0, EncodeAdd(0, 0, []float32{1, 2})); ds != nil {
+	if ds := sw.Handle(0, EncodeAdd(0, 0, 0, core.DefaultProfile, []float32{1, 2})); ds != nil {
 		t.Fatalf("mismatched ADD produced deliveries: %v", ds)
 	}
 	if adds, _, _ := sw.Stats(); adds != 0 {
 		t.Fatalf("mismatched ADD counted: %d", adds)
 	}
-	if ds := sw.Handle(0, EncodeAddProfile(0, 0, 0, profBF16, []float32{1, 2})); len(ds) != 1 {
+	if ds := sw.Handle(0, EncodeAdd(0, 0, 0, profBF16, []float32{1, 2})); len(ds) != 1 {
 		t.Fatalf("matched ADD deliveries: %v", ds)
 	}
 }

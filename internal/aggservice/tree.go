@@ -88,7 +88,7 @@ type ParentControl interface {
 type SwitchControl struct{ Parent *Switch }
 
 func (c SwitchControl) AdmitUp(job, weight int, prof core.NumericProfile) (uint8, error) {
-	err := c.Parent.AdmitProfile(job, weight, prof)
+	err := c.Parent.AdmitWorkload(job, weight, prof, AdmitClass{})
 	switch {
 	case err == nil:
 	case errors.Is(err, ErrAlreadyAdmitted):
@@ -128,7 +128,7 @@ func (c WireControl) AdmitUp(job, weight int, prof core.NumericProfile) (uint8, 
 		return 0, err
 	}
 	defer conn.Close()
-	frame := append([]byte{transport.ObserverID}, EncodeJobAdmitProfile(job, weight, prof)...)
+	frame := append([]byte{transport.ObserverID}, EncodeJobAdmit(JobAdmit{Job: job, Weight: weight, Profile: prof})...)
 	buf := make([]byte, 128)
 	for attempt := 0; attempt < retries; attempt++ {
 		if _, err := conn.Write(frame); err != nil {
@@ -139,23 +139,23 @@ func (c WireControl) AdmitUp(job, weight int, prof core.NumericProfile) (uint8, 
 		if err != nil {
 			continue
 		}
-		j, status, epoch, _, got, aerr := DecodeJobAckProfile(buf[:n])
-		if aerr != nil || j != job {
+		a, aerr := DecodeJobAck(buf[:n])
+		if aerr != nil || a.Job != job {
 			continue
 		}
-		switch status {
+		switch a.Status {
 		case AckAdmitted:
-			return epoch, nil
+			return a.Epoch, nil
 		case AckErrAlreadyAdmitted:
 			// The ack echoes the LIVE incarnation's epoch and profile, so
 			// the already-admitted case needs no second exchange.
-			if got != prof {
+			if a.Profile != prof {
 				return 0, fmt.Errorf("%w: job %d live at the parent under profile %v, leaf wants %v",
-					ErrBadProfile, job, got, prof)
+					ErrBadProfile, job, a.Profile, prof)
 			}
-			return epoch, nil
+			return a.Epoch, nil
 		default:
-			return 0, fmt.Errorf("parent %s: %w", c.Addr, status.Err())
+			return 0, fmt.Errorf("parent %s: %w", c.Addr, a.Status.Err())
 		}
 	}
 	return 0, fmt.Errorf("parent %s: no admit ack after %d attempts", c.Addr, retries)
@@ -240,7 +240,6 @@ func (u *uplinkJob) retransmitPending() {
 // over an unreachable parent.
 func (u *uplinkJob) run() {
 	bufs := make([][]byte, recvVec)
-	var one [1][]byte
 	stalls := 0
 	for {
 		select {
@@ -270,54 +269,47 @@ func (u *uplinkJob) run() {
 			return // fabric closed
 		}
 		var finals []resDone
-		for _, pkt := range bufs[:k] {
-			one[0] = pkt
-			msgs := one[:]
-			if typ, terr := wireType(pkt); terr == nil && typ == MsgBatch {
-				if msgs, err = DecodeBatch(pkt); err != nil {
-					continue
-				}
+		for _, msg := range bufs[:k] {
+			typ, terr := wireType(msg)
+			if terr != nil {
+				continue
 			}
-			for _, msg := range msgs {
-				if len(msg) >= 2 && msg[0] == WireVersion && msg[1] == MsgJobAck {
-					j, status, ep, _, aerr := DecodeJobAck(msg)
-					if aerr != nil || j != u.job || ep != u.parentEpoch {
-						continue // another incarnation's notice
-					}
-					switch status {
-					case AckEvicted, AckDraining:
-						// A mid-tree eviction propagating down: the parent
-						// refuses this job's uplink, so drain the leaf too.
-						// Evict → release → stopUplink closes u.quit; push
-						// what already arrived first.
-						u.s.pushFinals(finals)
-						u.s.Evict(u.job)
-						return
-					case AckBackpressure:
-						// The parent's fair scheduler deferred a bind; the
-						// chunk stays pending and the retransmit clock
-						// recovers it next round. The parent is alive.
-						stalls = 0
-					}
+			switch typ {
+			case MsgJobAck:
+				a, aerr := DecodeJobAck(msg)
+				if aerr != nil || a.Job != u.job || a.Epoch != u.parentEpoch {
+					continue // another incarnation's notice
+				}
+				switch a.Status {
+				case AckEvicted, AckDraining:
+					// A mid-tree eviction propagating down: the parent
+					// refuses this job's uplink, so drain the leaf too.
+					// Evict → release → stopUplink closes u.quit; push
+					// what already arrived first.
+					u.s.pushFinals(finals)
+					u.s.Evict(u.job)
+					return
+				case AckBackpressure:
+					// The parent's fair scheduler deferred a bind; the
+					// chunk stays pending and the retransmit clock
+					// recovers it next round. The parent is alive.
+					stalls = 0
+				}
+			case MsgResult:
+				job, chunk, vals, ovf, derr := DecodeResult(msg, u.s.cfg.Modules, u.prof)
+				if derr != nil || job != u.job {
 					continue
 				}
-				switch typ, _ := wireType(msg); typ {
-				case MsgResult:
-					job, chunk, vals, ovf, derr := DecodeResultProfile(msg, u.s.cfg.Modules, u.prof)
-					if derr != nil || job != u.job {
-						continue
-					}
-					stalls = 0
-					finals = u.takeFinal(chunk, vals, ovf, finals)
-				case MsgResultRun:
-					job, start, vals, ovfs, derr := DecodeResultRun(msg, u.s.cfg.Modules, u.prof)
-					if derr != nil || job != u.job {
-						continue
-					}
-					stalls = 0
-					for i := range vals {
-						finals = u.takeFinal(start+uint32(i), vals[i], ovfs[i], finals)
-					}
+				stalls = 0
+				finals = u.takeFinal(chunk, vals, ovf, finals)
+			case MsgResultRun:
+				job, start, vals, ovfs, derr := DecodeResultRun(msg, u.s.cfg.Modules, u.prof)
+				if derr != nil || job != u.job {
+					continue
+				}
+				stalls = 0
+				for i := range vals {
+					finals = u.takeFinal(start+uint32(i), vals[i], ovfs[i], finals)
 				}
 			}
 		}
@@ -371,15 +363,7 @@ func (s *Switch) installFinal(job int, epoch uint64, chunk uint32, vals []float3
 	if st.chunk != int64(chunk) || !st.upPending {
 		return nil, false
 	}
-	w := prof.ValueBytes()
-	pkt := make([]byte, resultBytesProf(len(vals), prof))
-	putHeader(pkt, MsgResult, job, chunk)
-	for i, v := range vals {
-		prof.PutValue(pkt[hdrBytes+w*i:], v)
-	}
-	if ovf {
-		pkt[hdrBytes+w*len(vals)] = 1
-	}
+	pkt := encodeResult(job, chunk, prof, vals, ovf)
 	st.cached = pkt
 	st.upPending = false
 	js.cacheBytes.Add(int64(len(pkt)))

@@ -257,7 +257,7 @@ func TestTreeSpineEvictionDrainsLeaves(t *testing.T) {
 	// re-run from scratch on the recycled ranges.
 	epochs := make([]uint8, nLeaves)
 	for i, l := range leaves {
-		if err := l.Admit(0); err != nil {
+		if err := l.AdmitWorkload(0, 1, core.DefaultProfile, AdmitClass{}); err != nil {
 			t.Fatalf("leaf %d re-admit: %v", i, err)
 		}
 		epochs[i] = l.JobEpoch(0)
@@ -376,18 +376,62 @@ func TestTreeAdmitNegotiation(t *testing.T) {
 	}
 }
 
+// refusingParent is a ParentControl that admits job 0 and refuses every
+// other job with err.
+type refusingParent struct{ err error }
+
+func (p refusingParent) AdmitUp(job, weight int, prof core.NumericProfile) (uint8, error) {
+	if job == 0 {
+		return 0, nil
+	}
+	return 0, p.err
+}
+
+// TestLeafRelaysParentRefusal pins the status↔error table on the wire
+// control plane: when a Dynamic leaf's parent refuses an admit, the leaf
+// answers the wire admit with the parent's own status rather than a
+// catch-all "unknown job", and the job stays vacant.
+func TestLeafRelaysParentRefusal(t *testing.T) {
+	for _, want := range []AckStatus{AckErrDisabled, AckErrNoCapacity, AckErrBadProfile, AckErrDraining, AckErrBadClass} {
+		upFab, err := transport.NewMemory(transport.MemoryConfig{Workers: 2,
+			BatchHandler: func(int, [][]byte, *transport.DeliveryList) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf, err := NewSwitch(Config{Workers: 1, Pool: 1, Modules: 1, Jobs: 1, Capacity: 2, Dynamic: true,
+			Mode: core.ModeApprox, Arch: pisa.BaseArch(),
+			Uplink: &UplinkConfig{Fabric: upFab, LeafID: 0, Leaves: 1, Control: refusingParent{want.Err()}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds := leaf.Handle(ObserverWorker, EncodeJobAdmit(JobAdmit{Job: 1, Weight: 1}))
+		leaf.Close()
+		upFab.Close()
+		if len(ds) != 1 {
+			t.Fatalf("%v: admit deliveries %v", want, ds)
+		}
+		a, err := DecodeJobAck(ds[0].Packet)
+		if err != nil || a.Job != 1 || a.Status != want {
+			t.Fatalf("parent refused with %v: leaf acked %v (err %v)", want, a.Status, err)
+		}
+		if ph := leaf.JobPhaseOf(1); ph != PhaseVacant {
+			t.Fatalf("%v: refused admit left job 1 %v", want, ph)
+		}
+	}
+}
+
 // TestResultRunRoundTrip pins the run-reply codec: splice, decode, and the
 // malformed shapes a hostile peer could send.
 func TestResultRunRoundTrip(t *testing.T) {
 	prof := core.DefaultProfile
 	items := [][]byte{
-		EncodeAddProfile(3, 7, 0, prof, []float32{1.5, -2}),  // only for sizing
-		EncodeAddProfile(3, 8, 0, prof, []float32{0.25, 16}), // (see below)
+		EncodeAdd(3, 7, 0, prof, []float32{1.5, -2}),  // only for sizing
+		EncodeAdd(3, 8, 0, prof, []float32{0.25, 16}), // (see below)
 	}
 	_ = items
 	// Build cached-RESULT-shaped items the way the switch does.
 	mk := func(chunk uint32, vals []float32, ovf bool) []byte {
-		pkt := make([]byte, resultBytesProf(len(vals), prof))
+		pkt := make([]byte, resultBytes(len(vals), prof))
 		putHeader(pkt, MsgResult, 3, chunk)
 		for i, v := range vals {
 			prof.PutValue(pkt[hdrBytes+4*i:], v)
@@ -413,10 +457,10 @@ func TestResultRunRoundTrip(t *testing.T) {
 		t.Errorf("overflow flags corrupted: %v", ovfs)
 	}
 	for _, bad := range [][]byte{
-		run[:5],                          // truncated header
-		run[:len(run)-1],                 // truncated last item
+		run[:5],                                // truncated header
+		run[:len(run)-1],                       // truncated last item
 		append(append([]byte{}, run...), 0xaa), // trailing byte
-		encodeResultRun(3, 7, nil),       // zero items
+		encodeResultRun(3, 7, nil),             // zero items
 	} {
 		if _, _, _, _, err := DecodeResultRun(bad, 2, prof); err == nil {
 			t.Errorf("malformed run of %d bytes accepted", len(bad))
