@@ -37,13 +37,10 @@
 //
 // The aggregation service is sharded across parallel pipeline replicas
 // (-shards) and the socket is drained by transport.ServeConn's reader
-// pool, so packets for different slots aggregate concurrently. -mmsg
-// selects the kernel-batched wire backend (sendmmsg/recvmmsg, one syscall
-// per datagram burst; "auto" uses it where the platform supports it,
-// "off" forces the portable per-datagram loop); the resolved backend is
-// echoed in the startup banner and its syscall counters — including
-// failed downlink datagrams (sendErrors) — appear in the -statsevery
-// "wire:" line.
+// pool, so packets for different slots aggregate concurrently. The wire
+// syscall ledger — one syscall per datagram, plus failed downlink
+// datagrams (sendErrors) — appears in the -statsevery "wire:" line, and
+// wire rejects by cause in its "rejects:" line.
 //
 // Switches compose into aggregation trees: -parent host:port makes this
 // switch a LEAF that re-emits each completed chunk upward as an ADD to
@@ -99,7 +96,6 @@ type options struct {
 	parent       string
 	leaf         int
 	leaves       int
-	mmsg         transport.MmsgMode
 }
 
 // parseOptions parses args (no program name) into options.
@@ -125,15 +121,9 @@ func parseOptions(args []string) (*options, error) {
 	fs.StringVar(&o.parent, "parent", "", "parent switch address: run as a LEAF forwarding completed chunks upward")
 	fs.IntVar(&o.leaf, "leaf", 0, "this leaf's index at the parent (its worker port, with -parent)")
 	fs.IntVar(&o.leaves, "leaves", 1, "total leaves feeding the parent (the parent's -workers, with -parent)")
-	mmsg := fs.String("mmsg", "auto", "kernel-batched UDP I/O: auto (sendmmsg/recvmmsg where supported), on, off (per-datagram loop)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
-	mode, err := transport.ParseMmsgMode(*mmsg)
-	if err != nil {
-		return nil, fmt.Errorf("-mmsg %q: want auto, on or off", *mmsg)
-	}
-	o.mmsg = mode
 	if fs.NArg() > 0 {
 		return nil, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
@@ -219,6 +209,16 @@ func (o *options) switchConfig() (aggservice.Config, error) {
 	return cfg, nil
 }
 
+// rejectsLine formats the -statsevery "rejects:" line, or "" when the
+// switch has refused nothing.
+func rejectsLine(r aggservice.WireRejects) string {
+	if r.Legacy+r.Malformed+r.BadJob+r.CrossJob+r.Draining+r.Backpressure+r.Stale+r.BadClass == 0 {
+		return ""
+	}
+	return fmt.Sprintf("rejects: legacy=%d malformed=%d badJob=%d crossJob=%d draining=%d backpressure=%d stale=%d badClass=%d",
+		r.Legacy, r.Malformed, r.BadJob, r.CrossJob, r.Draining, r.Backpressure, r.Stale, r.BadClass)
+}
+
 // mode and arch echoes for the startup banner.
 func (o *options) modeName() string {
 	if o.full {
@@ -249,7 +249,7 @@ func main() {
 	// The socket comes up before the switch: a leaf's uplink pushes the
 	// parent's finals back down through this server, and admission for the
 	// initial jobs is negotiated at the parent during NewSwitch.
-	srv, err := transport.NewUDPServer(conn, cfg.Ports(), transport.WithMmsg(o.mmsg))
+	srv, err := transport.NewUDPServer(conn, cfg.Ports())
 	if err != nil {
 		log.Fatalf("switch: %v", err)
 	}
@@ -261,7 +261,7 @@ func main() {
 		// The uplink dials one parent worker port per job: job j sends on
 		// port j*leaves+leaf, so the client fabric must address the whole
 		// provisioned job set across every sibling leaf.
-		upFab, err := transport.DialUDP(parentAddr, cfg.Ports()/cfg.Workers*o.leaves, transport.WithMmsg(o.mmsg))
+		upFab, err := transport.DialUDP(parentAddr, cfg.Ports()/cfg.Workers*o.leaves)
 		if err != nil {
 			log.Fatalf("dial -parent: %v", err)
 		}
@@ -297,7 +297,6 @@ func main() {
 	}
 	log.Printf("fpisa-switch (%s, %s, %d shards) listening on %s: %d/%d jobs admitted x %d workers (quota %d, %s)",
 		o.modeName(), cfg.Arch.Name, sw.Shards(), conn.LocalAddr(), o.jobs, sw.Jobs(), o.workers, o.quota, dyn)
-	log.Printf("wire I/O backend: %s (-mmsg %s)", srv.Backend(), o.mmsg)
 	for j := 0; j < sw.Jobs(); j++ {
 		if base, n, ok := sw.JobRange(j); ok {
 			log.Printf("  job %d: ports %d..%d, slots %d..%d, weight %d, profile %s, class %v", j,
@@ -320,15 +319,12 @@ func main() {
 						j, st.Phase, st.Weight, st.Adds, st.Retransmits, st.Completions, st.QuotaDrops,
 						st.SchedDefers, st.Outstanding, st.CacheHits, st.CacheBytes, st.Coalesced)
 				}
-				r := sw.Rejects()
-				if r.Legacy+r.Malformed+r.BadJob+r.CrossJob+r.Draining+r.Backpressure+r.BadClass > 0 {
-					log.Printf("rejects: legacy=%d malformed=%d badJob=%d crossJob=%d draining=%d backpressure=%d badClass=%d",
-						r.Legacy, r.Malformed, r.BadJob, r.CrossJob, r.Draining, r.Backpressure, r.BadClass)
+				if line := rejectsLine(sw.Rejects()); line != "" {
+					log.Print(line)
 				}
 				ss := srv.SyscallStats()
-				log.Printf("wire: syscalls=%d (sendmmsg=%d recvmmsg=%d fallback=%d) datagrams=%d dgrams/syscall=%.2f sendErrors=%d",
-					ss.Syscalls(), ss.Sendmmsg, ss.Recvmmsg, ss.SendFallback+ss.RecvFallback,
-					ss.SentDatagrams+ss.RecvDatagrams, ss.DatagramsPerSyscall(), ss.SendErrors)
+				log.Printf("wire: syscalls=%d datagrams=%d dgrams/syscall=%.2f sendErrors=%d",
+					ss.Syscalls(), ss.SentDatagrams+ss.RecvDatagrams, ss.DatagramsPerSyscall(), ss.SendErrors)
 			}
 		}()
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"fpisa/internal/aggservice"
 	"fpisa/internal/transport"
 )
 
@@ -19,30 +20,17 @@ func TestParseOptionsDefaults(t *testing.T) {
 	if o.dynamic || o.capacity != 0 || o.drainTimeout != 0 {
 		t.Fatalf("lifecycle defaults: %+v", o)
 	}
-	if o.mmsg != transport.MmsgAuto {
-		t.Fatalf("mmsg default: %v", o.mmsg)
-	}
 }
 
-func TestParseOptionsMmsg(t *testing.T) {
-	for _, tc := range []struct {
-		arg  string
-		want transport.MmsgMode
-	}{
-		{"auto", transport.MmsgAuto},
-		{"on", transport.MmsgOn},
-		{"off", transport.MmsgOff},
-	} {
-		o, err := parseOptions([]string{"-mmsg", tc.arg})
-		if err != nil {
-			t.Fatalf("-mmsg %s: %v", tc.arg, err)
-		}
-		if o.mmsg != tc.want {
-			t.Fatalf("-mmsg %s parsed as %v", tc.arg, o.mmsg)
-		}
+// TestRejectsLineStale asserts stale-epoch refusals alone produce a
+// -statsevery "rejects:" line that names them, and a clean switch none.
+func TestRejectsLineStale(t *testing.T) {
+	if line := rejectsLine(aggservice.WireRejects{}); line != "" {
+		t.Fatalf("no rejects printed %q", line)
 	}
-	if _, err := parseOptions([]string{"-mmsg", "always"}); err == nil {
-		t.Error("bad -mmsg value accepted")
+	line := rejectsLine(aggservice.WireRejects{Stale: 3})
+	if !strings.Contains(line, "stale=3") {
+		t.Fatalf("stale-only rejects line %q lacks stale=3", line)
 	}
 }
 

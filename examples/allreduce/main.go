@@ -129,13 +129,11 @@ func main() {
 	adds, dups, completions := sw.Stats()
 	fmt.Printf("switch totals: adds=%d dups=%d chunks=%d — per-job ledgers above sum to these\n",
 		adds, dups, completions)
-	// The wire-syscall ledger: how many kernel entries the whole run cost,
-	// and how many datagrams each one moved — the kernel-batching win the
-	// sendmmsg/recvmmsg backend buys over one syscall per datagram.
+	// The wire-syscall ledger: how many kernel entries the whole run cost
+	// (one per datagram) and how many datagrams failed to send.
 	ss := fab.SyscallStats()
-	fmt.Printf("wire I/O (%s): %d syscalls moved %d datagrams — %.2f datagrams/syscall (sendmmsg=%d recvmmsg=%d fallback=%d sendErrors=%d)\n",
-		fab.Backend(), ss.Syscalls(), ss.SentDatagrams+ss.RecvDatagrams, ss.DatagramsPerSyscall(),
-		ss.Sendmmsg, ss.Recvmmsg, ss.SendFallback+ss.RecvFallback, ss.SendErrors)
+	fmt.Printf("wire I/O: %d syscalls moved %d datagrams (%.2f datagrams/syscall), sendErrors=%d\n",
+		ss.Syscalls(), ss.SentDatagrams+ss.RecvDatagrams, ss.DatagramsPerSyscall(), ss.SendErrors)
 }
 
 func abs(x float64) float64 {

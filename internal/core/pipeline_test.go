@@ -313,3 +313,21 @@ func TestPipelineErrors(t *testing.T) {
 		t.Error("too many values accepted")
 	}
 }
+
+// TestPipelineAddAllocs bounds what one pipeline Add allocates. The
+// simulated stages reuse the switch's PHV snapshot and write scratch, so
+// the cost is per packet (request, PHVs, emission, result) and does not
+// grow with the stage count.
+func TestPipelineAddAllocs(t *testing.T) {
+	pa := newAgg(t, ModeFull, pisa.ExtendedArch(), 3, 16)
+	vals := []float32{0.25, -0.5, 1}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := pa.Add(3, vals); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per Add", allocs)
+	if allocs > 12 {
+		t.Errorf("pipeline Add allocates %.0f times, want <= 12", allocs)
+	}
+}

@@ -34,6 +34,12 @@ type Switch struct {
 	tstats   []tableStat
 	mcast    map[uint16][]uint16
 	counters Counters
+	// snap and writes are runGress's per-stage scratch (the stage-entry
+	// PHV snapshot and the pending field writes), reused so that a pass
+	// through the stages allocates nothing per stage. Like the register
+	// bank, they make one Switch unsafe for concurrent Process calls.
+	snap   *Phv
+	writes map[fieldID]uint32
 	// Trace, when set, receives one call per executed table.
 	Trace func(gress string, stage int, table, action string)
 }
@@ -58,6 +64,8 @@ func newInstance(c *compiled) *Switch {
 		regs:   c.newRegisterBank(),
 		tstats: make([]tableStat, len(c.declared)),
 		mcast:  make(map[uint16][]uint16),
+		snap:   newPhv(c.ft),
+		writes: make(map[fieldID]uint32),
 	}
 }
 
@@ -217,8 +225,9 @@ func (s *Switch) runGress(phv *Phv, stages [][]*cTable, gress string) error {
 		if len(tables) == 0 {
 			continue
 		}
-		snapshot := phv.clone()
-		writes := make(map[fieldID]uint32)
+		snapshot, writes := s.snap, s.writes
+		copy(snapshot.vals, phv.vals)
+		clear(writes)
 		for _, t := range tables {
 			h, hit := t.match(snapshot)
 			if hit {

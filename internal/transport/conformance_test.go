@@ -63,20 +63,9 @@ func fabricCases() []fabricCase {
 			closedErr: true,
 		},
 		{
-			name: "udp-mmsg",
+			name: "udp",
 			make: func(t *testing.T, workers int, h BatchHandler) Fabric {
-				u, err := NewUDP(workers, h, WithMmsg(MmsgOn))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return u
-			},
-			closedErr: true,
-		},
-		{
-			name: "udp-fallback",
-			make: func(t *testing.T, workers int, h BatchHandler) Fabric {
-				u, err := NewUDP(workers, h, WithMmsg(MmsgOff))
+				u, err := NewUDP(workers, h)
 				if err != nil {
 					t.Fatal(err)
 				}

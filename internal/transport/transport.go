@@ -23,12 +23,10 @@
 //   - receive timeouts use a reusable time.Timer per ring instead of a
 //     time.After allocation per call.
 //
-// Below the framing, the UDP fabric batches at the KERNEL boundary too:
-// on Linux amd64/arm64 the batchWriter/batchReader seam submits whole
-// datagram vectors per syscall via sendmmsg/recvmmsg (see mmsg.go;
-// WithMmsg selects the backend, SyscallStats counts every kernel entry),
-// degrading to a portable per-datagram loop elsewhere. The Fabric
-// contract and the ownership rules below are identical on both backends.
+// Below the framing, the UDP fabric has one portable I/O path: one
+// read or write syscall per wire datagram, counted in SyscallStats. A
+// sendmmsg/recvmmsg backend made about 5× fewer syscalls but did not
+// move end-to-end throughput or latency, so it was removed.
 //
 // # Ownership rules
 //

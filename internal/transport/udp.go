@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -42,27 +43,88 @@ const maxUDPPayload = 65507
 // with ObserverID and BatchFrameID reserved.
 const MaxWorkers = 254
 
-// UDPOption configures a UDP fabric half (NewUDP, DialUDP, NewUDPServer).
-type UDPOption func(*udpOptions)
-
-type udpOptions struct {
-	mode MmsgMode
+// SyscallStats is a snapshot of a UDP fabric's wire syscall ledger: how
+// many times it entered the kernel, and for how many datagrams. Every
+// wire read and write is one syscall carrying one datagram, so
+// DatagramsPerSyscall reads 1 on a healthy fabric.
+type SyscallStats struct {
+	// Sendmmsg and Recvmmsg always read 0: the fabric has no
+	// kernel-batched I/O path. They remain so existing callers that diff
+	// or sum whole snapshots keep compiling; a later benchmark change can
+	// drop them.
+	Sendmmsg, Recvmmsg uint64
+	// SendFallback and RecvFallback count wire write and read syscalls,
+	// one datagram each, failed writes included.
+	SendFallback, RecvFallback uint64
+	// SentDatagrams and RecvDatagrams count datagrams moved.
+	SentDatagrams, RecvDatagrams uint64
+	// SendErrors counts datagrams that failed to send — oversized packets
+	// (> 65507 B) and transient socket errors that would otherwise vanish
+	// without trace on the fire-and-forget downlink.
+	SendErrors uint64
 }
 
-// WithMmsg selects the kernel-batched I/O backend: MmsgAuto (the default)
-// uses sendmmsg/recvmmsg where the platform has it, MmsgOn requests it
-// explicitly, MmsgOff forces the portable per-datagram loop (the
-// fpisa-switch -mmsg flag maps straight onto this).
-func WithMmsg(mode MmsgMode) UDPOption {
-	return func(o *udpOptions) { o.mode = mode }
+// Syscalls is the total number of wire syscalls.
+func (s SyscallStats) Syscalls() uint64 {
+	return s.SendFallback + s.RecvFallback
 }
 
-func applyOptions(opts []UDPOption) udpOptions {
-	var o udpOptions
-	for _, opt := range opts {
-		opt(&o)
+// DatagramsPerSyscall is the achieved kernel batching factor (0 when no
+// syscall was made).
+func (s SyscallStats) DatagramsPerSyscall() float64 {
+	calls := s.Syscalls()
+	if calls == 0 {
+		return 0
 	}
-	return o
+	return float64(s.SentDatagrams+s.RecvDatagrams) / float64(calls)
+}
+
+// syscallCounters is the fabric-owned mutable form of SyscallStats. With
+// one datagram per syscall the syscall counts follow from the datagram
+// counts: a write syscall either sent its datagram or failed it.
+type syscallCounters struct {
+	sentDgrams, recvDgrams, sendErrors atomic.Uint64
+}
+
+func (c *syscallCounters) snapshot() SyscallStats {
+	sent, recv, errs := c.sentDgrams.Load(), c.recvDgrams.Load(), c.sendErrors.Load()
+	return SyscallStats{
+		SendFallback:  sent + errs,
+		RecvFallback:  recv,
+		SentDatagrams: sent,
+		RecvDatagrams: recv,
+		SendErrors:    errs,
+	}
+}
+
+// writeDatagram sends one wire datagram to dst with one syscall, counting
+// it as sent or failed.
+func writeDatagram(conn *net.UDPConn, stats *syscallCounters, dst *net.UDPAddr, d []byte) error {
+	if _, err := conn.WriteToUDP(d, dst); err != nil {
+		stats.sendErrors.Add(1)
+		return err
+	}
+	stats.sentDgrams.Add(1)
+	return nil
+}
+
+// readBufPool recycles maxUDPPayload-sized datagram read buffers across
+// serve readers, RecvBatch calls and fabric generations, so neither a
+// reader-pool spin-up nor a steady-state receive allocates buffer memory.
+var readBufPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, maxUDPPayload)
+		return &b
+	},
+}
+
+// getReadBuf takes a full-capacity read buffer from the pool.
+func getReadBuf() []byte { return *readBufPool.Get().(*[]byte) }
+
+// putReadBuf returns a read buffer to the pool at its full capacity.
+func putReadBuf(b []byte) {
+	b = b[:cap(b)]
+	readBufPool.Put(&b)
 }
 
 // appendBatchFrame appends one batch frame carrying pkts to dst.
@@ -107,9 +169,8 @@ func splitBatchFrame(frame []byte, into [][]byte) (id byte, pkts [][]byte, err e
 }
 
 // sendScratch is a sending context's reusable datagram-assembly arena: the
-// coalesced wire datagrams are materialized here so a whole vector can be
-// handed to the batch writer at once (one sendmmsg), instead of one
-// serially reused buffer per syscall.
+// coalesced wire datagrams are materialized here, so a steady-state send
+// allocates nothing.
 type sendScratch struct {
 	arena  []byte
 	spans  []dgramSpan
@@ -159,34 +220,32 @@ func gatherCoalesced(sc *sendScratch, id byte, pkts [][]byte, frameSingle bool) 
 	return sc.dgrams
 }
 
-// writeCoalesced coalesces pkts into wire datagrams and writes them to dst
-// through the backend writer — one sendmmsg for the whole vector on the
-// kernel-batched path, one syscall per datagram on the fallback. Every
-// datagram is attempted; the failed count and first error are returned so
-// fire-and-forget callers can account drops instead of losing them.
-func writeCoalesced(w batchWriter, dst *net.UDPAddr, id byte, pkts [][]byte, frameSingle bool, sc *sendScratch) (failed int, err error) {
-	dgrams := gatherCoalesced(sc, id, pkts, frameSingle)
-	failed, err = w.writeDatagrams(dst, dgrams)
-	for i := range sc.dgrams {
+// writeCoalesced coalesces pkts into wire datagrams and writes them to dst,
+// one syscall per datagram. Every datagram is attempted even after a
+// failure (an oversized packet must not sink the rest of the vector);
+// failures are counted in SendErrors and the first one is returned.
+func writeCoalesced(conn *net.UDPConn, stats *syscallCounters, dst *net.UDPAddr, id byte, pkts [][]byte, frameSingle bool, sc *sendScratch) error {
+	var firstErr error
+	for i, d := range gatherCoalesced(sc, id, pkts, frameSingle) {
+		if err := writeDatagram(conn, stats, dst, d); err != nil && firstErr == nil {
+			firstErr = err
+		}
 		sc.dgrams[i] = nil
 	}
-	return failed, err
+	return firstErr
 }
 
 // ServeConn drains a switch-side UDP socket with a pool of reader
-// goroutines (one per CPU, capped at 8), each owning reusable pooled read
-// buffers, a delivery list and a datagram-assembly arena — the serve loop
-// allocates nothing per datagram in steady state. Datagrams are framed
-// either [workerID(1) payload] or as batch frames (BatchFrameID); the
-// sender's address is learned as that worker's return path, and handler
-// deliveries are coalesced per destination into batch-framed datagrams
-// (single deliveries are written raw), broadcasts going to every learned
-// address. On the kernel-batched backend each reader drains up to
-// serveRecvBatch datagrams per recvmmsg and writes each destination's
-// replies with one sendmmsg. Frames carrying ObserverID are handled
-// out-of-band (see ObserverID). Destination addresses are snapshotted
-// under the lock but written outside it, so replies from different readers
-// (and shards) proceed in parallel.
+// goroutines (one per CPU, capped at 8), each owning a pooled read buffer,
+// a delivery list and a datagram-assembly arena — the serve loop allocates
+// nothing per datagram in steady state. Datagrams are framed either
+// [workerID(1) payload] or as batch frames (BatchFrameID); the sender's
+// address is learned as that worker's return path, and handler deliveries
+// are coalesced per destination into batch-framed datagrams (single
+// deliveries are written raw), broadcasts going to every learned address.
+// Frames carrying ObserverID are handled out-of-band (see ObserverID).
+// Destination addresses are snapshotted under the lock but written outside
+// it, so replies from different readers (and shards) proceed in parallel.
 //
 // ServeConn blocks until the socket is closed (returning nil) and errors
 // immediately on a worker count the one-byte frame cannot address;
@@ -195,8 +254,8 @@ func writeCoalesced(w batchWriter, dst *net.UDPAddr, id byte, pkts [][]byte, fra
 // switch-originated Push downlink (aggregation-tree leaves fanning parent
 // results down outside a handler invocation) build a UDPServer instead —
 // ServeConn is NewUDPServer + Serve.
-func ServeConn(conn *net.UDPConn, workers int, handler BatchHandler, opts ...UDPOption) error {
-	srv, err := NewUDPServer(conn, workers, opts...)
+func ServeConn(conn *net.UDPConn, workers int, handler BatchHandler) error {
+	srv, err := NewUDPServer(conn, workers)
 	if err != nil {
 		return err
 	}
@@ -212,17 +271,15 @@ func ServeConn(conn *net.UDPConn, workers int, handler BatchHandler, opts ...UDP
 type UDPServer struct {
 	conn    *net.UDPConn
 	workers int
-	useMmsg bool
 	stats   *syscallCounters
 
 	mu    sync.Mutex // guards addrs
 	addrs []*net.UDPAddr
 
 	// pushMu serializes Push calls so the scratch (groups, address
-	// snapshot, writer arena) has one owner; the reader pool's own
+	// snapshot, assembly arena) has one owner; the reader pool's own
 	// deliveries do not go through it.
 	pushMu sync.Mutex
-	pushW  batchWriter
 	groups destGroups
 	dst    []*net.UDPAddr
 	sc     sendScratch
@@ -230,27 +287,21 @@ type UDPServer struct {
 
 // NewUDPServer wraps a bound switch socket. The caller owns conn; closing
 // it terminates Serve.
-func NewUDPServer(conn *net.UDPConn, workers int, opts ...UDPOption) (*UDPServer, error) {
+func NewUDPServer(conn *net.UDPConn, workers int) (*UDPServer, error) {
 	if workers < 1 || workers > MaxWorkers {
 		return nil, fmt.Errorf("transport: %d workers outside the 1..%d the one-byte frame addresses (0x%02x and 0x%02x are reserved)",
 			workers, MaxWorkers, BatchFrameID, ObserverID)
 	}
-	o := applyOptions(opts)
 	s := &UDPServer{
 		conn:    conn,
 		workers: workers,
-		useMmsg: o.mode.enabled(),
 		stats:   &syscallCounters{},
 		addrs:   make([]*net.UDPAddr, workers),
 		dst:     make([]*net.UDPAddr, workers),
 	}
-	s.pushW = newBatchWriter(conn, s.useMmsg, s.stats)
 	s.groups.init(workers)
 	return s, nil
 }
-
-// Backend names the datagram I/O backend this server resolved to.
-func (s *UDPServer) Backend() string { return backendName(s.useMmsg) }
 
 // SyscallStats snapshots the server's wire syscall counters (including
 // the SendErrors drop counter for the fire-and-forget downlink).
@@ -289,62 +340,60 @@ func (s *UDPServer) Push(ds []Delivery) error {
 	}
 	s.pushMu.Lock()
 	defer s.pushMu.Unlock()
+	return s.writeDeliveries(ds, &s.groups, s.dst, &s.sc)
+}
+
+// writeDeliveries routes ds: grouped per destination worker, coalesced
+// into batch frames (singles written raw), written outside the address
+// lock to the learned return paths. Failed datagrams are counted
+// (SendErrors), not silently dropped; the first failure is returned.
+func (s *UDPServer) writeDeliveries(ds []Delivery, groups *destGroups, dst []*net.UDPAddr, sc *sendScratch) error {
 	for _, d := range ds {
 		if d.Broadcast {
 			for w := 0; w < s.workers; w++ {
-				s.groups.route(w, d.Packet)
+				groups.route(w, d.Packet)
 			}
 			continue
 		}
 		if d.Worker >= 0 && d.Worker < s.workers {
-			s.groups.route(d.Worker, d.Packet)
+			groups.route(d.Worker, d.Packet)
 		}
 	}
 	s.mu.Lock()
-	for _, w := range s.groups.touched {
-		s.dst[w] = s.addrs[w]
+	for _, w := range groups.touched {
+		dst[w] = s.addrs[w]
 	}
 	s.mu.Unlock()
 	var firstErr error
-	for _, w := range s.groups.touched {
-		if s.dst[w] == nil {
+	for _, w := range groups.touched {
+		if dst[w] == nil {
 			continue
 		}
-		failed, err := writeCoalesced(s.pushW, s.dst[w], 0, s.groups.perDst[w], false, &s.sc)
-		s.stats.sendErrors.Add(uint64(failed))
-		if err != nil && firstErr == nil {
+		if err := writeCoalesced(s.conn, s.stats, dst[w], 0, groups.perDst[w], false, sc); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	s.groups.reset()
+	groups.reset()
 	return firstErr
 }
 
 // serveState is one reader goroutine's reusable scratch.
 type serveState struct {
-	bufs   [][]byte       // pooled datagram read buffers (cap maxUDPPayload)
-	srcs   []*net.UDPAddr // per-datagram source addresses
-	split  [][]byte       // batch-frame packet slices (aliasing a read buffer)
-	one    [1][]byte      // single-packet vector (aliasing a read buffer)
-	dl     DeliveryList   // worker deliveries, accumulated across one drain
-	odl    DeliveryList   // observer deliveries, reset per observer frame
+	split  [][]byte       // batch-frame packet slices (aliasing the read buffer)
+	one    [1][]byte      // single-packet vector (aliasing the read buffer)
+	dl     DeliveryList   // handler deliveries for one datagram
 	groups destGroups     // delivery packets grouped per destination worker
 	dst    []*net.UDPAddr // destination snapshot, filled under the lock
 	sc     sendScratch    // datagram-assembly arena
 }
 
 func serveReader(s *UDPServer, handler BatchHandler) {
-	st := &serveState{
-		srcs: make([]*net.UDPAddr, serveRecvBatch),
-		dst:  make([]*net.UDPAddr, s.workers),
-	}
-	st.bufs = getReadBufs(nil, serveRecvBatch)
-	defer putReadBufs(st.bufs)
+	st := &serveState{dst: make([]*net.UDPAddr, s.workers)}
 	st.groups.init(s.workers)
-	reader := newBatchReader(s.conn, s.useMmsg, s.stats)
-	writer := newBatchWriter(s.conn, s.useMmsg, s.stats)
+	buf := getReadBuf()
+	defer putReadBuf(buf)
 	for {
-		m, err := reader.readDatagrams(st.bufs, st.srcs)
+		n, src, err := s.conn.ReadFromUDP(buf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return
@@ -355,87 +404,52 @@ func serveReader(s *UDPServer, handler BatchHandler) {
 			time.Sleep(time.Millisecond)
 			continue
 		}
+		s.stats.recvDgrams.Add(1)
+		if n < 1 || src == nil {
+			continue
+		}
+		dgram := buf[:n]
 		st.dl.Reset()
-		for i := 0; i < m; i++ {
-			buf, src := st.bufs[i], st.srcs[i]
-			if len(buf) < 1 || src == nil {
+		// The downlink is fire-and-forget: write failures below are
+		// counted in SendErrors, and the workers' retransmits recover.
+		switch dgram[0] {
+		case ObserverID:
+			// Out-of-band observer: replies go to the sender only, and its
+			// address never becomes a worker return path.
+			st.one[0] = dgram[1:]
+			handler(ObserverWorker, st.one[:], &st.dl)
+			for _, d := range st.dl.Deliveries() {
+				_ = writeDatagram(s.conn, s.stats, src, d.Packet)
+			}
+			continue
+		case BatchFrameID:
+			id, pkts, err := splitBatchFrame(dgram, st.split)
+			st.split = pkts[:0]
+			if err != nil || int(id) >= s.workers {
 				continue
 			}
-			switch buf[0] {
-			case ObserverID:
-				// Out-of-band observer: replies go to the sender only, and
-				// its address never becomes a worker return path.
-				st.odl.Reset()
-				st.one[0] = buf[1:]
-				handler(ObserverWorker, st.one[:], &st.odl)
-				for _, d := range st.odl.Deliveries() {
-					st.one[0] = d.Packet
-					if failed, _ := writer.writeDatagrams(src, st.one[:]); failed > 0 {
-						s.stats.sendErrors.Add(uint64(failed))
-					}
-				}
-			case BatchFrameID:
-				id, pkts, err := splitBatchFrame(buf, st.split)
-				st.split = pkts[:0]
-				if err != nil || int(id) >= s.workers {
-					continue
-				}
-				worker := int(id)
-				s.mu.Lock()
-				s.addrs[worker] = src
-				s.mu.Unlock()
-				handler(worker, pkts, &st.dl)
-			default:
-				worker := int(buf[0])
-				if worker >= s.workers {
-					continue
-				}
-				s.mu.Lock()
-				s.addrs[worker] = src
-				s.mu.Unlock()
-				st.one[0] = buf[1:]
-				handler(worker, st.one[:], &st.dl)
+			s.learn(int(id), src)
+			handler(int(id), pkts, &st.dl)
+		default:
+			worker := int(dgram[0])
+			if worker >= s.workers {
+				continue
 			}
+			s.learn(worker, src)
+			st.one[0] = dgram[1:]
+			handler(worker, st.one[:], &st.dl)
 		}
-		// One delivery pass per drained burst: replies for every datagram
-		// the recvmmsg took are grouped per destination and written with
-		// one sendmmsg per destination.
-		deliver(s, writer, st)
+		if ds := st.dl.Deliveries(); len(ds) > 0 {
+			_ = s.writeDeliveries(ds, &st.groups, st.dst, &st.sc)
+		}
 	}
 }
 
-// deliver routes the reader's accumulated deliveries: grouped per
-// destination, coalesced into batch frames (singles written raw), written
-// outside the address lock. Failed datagrams are counted (SendErrors), not
-// silently dropped.
-func deliver(s *UDPServer, writer batchWriter, st *serveState) {
-	ds := st.dl.Deliveries()
-	if len(ds) == 0 {
-		return
-	}
-	for _, d := range ds {
-		if d.Broadcast {
-			for w := 0; w < s.workers; w++ {
-				st.groups.route(w, d.Packet)
-			}
-			continue
-		}
-		if d.Worker >= 0 && d.Worker < s.workers {
-			st.groups.route(d.Worker, d.Packet)
-		}
-	}
+// learn records src as worker's return path.
+func (s *UDPServer) learn(worker int, src *net.UDPAddr) {
 	s.mu.Lock()
-	for _, w := range st.groups.touched {
-		st.dst[w] = s.addrs[w]
-	}
+	s.addrs[worker] = src
 	s.mu.Unlock()
-	for _, w := range st.groups.touched {
-		if st.dst[w] != nil {
-			failed, _ := writeCoalesced(writer, st.dst[w], 0, st.groups.perDst[w], false, &st.sc)
-			s.stats.sendErrors.Add(uint64(failed))
-		}
-	}
-	st.groups.reset()
 }
 
 // UDP is a Fabric over real UDP sockets on loopback (or any network): one
@@ -444,9 +458,8 @@ func deliver(s *UDPServer, writer batchWriter, st *serveState) {
 // like the ingress-port metadata a real switch derives from the wire.
 // SendBatch coalesces the packet vector into batch-framed datagrams and
 // RecvBatch drains the worker socket into the caller's reusable buffers,
-// so a full protocol window crosses the wire in a handful of datagrams —
-// and, on the kernel-batched backend (WithMmsg), in a handful of syscalls:
-// one sendmmsg per destination per vector, one recvmmsg per drained burst.
+// so a full protocol window crosses the wire in a handful of datagrams,
+// one syscall each.
 //
 // The switch socket is drained by ServeConn's reader pool, so concurrent
 // datagrams reach the handler in parallel — the handler must be
@@ -458,7 +471,6 @@ func deliver(s *UDPServer, writer batchWriter, st *serveState) {
 // srv are nil and Push reports that there is nothing to push through.
 type UDP struct {
 	workers  int
-	useMmsg  bool
 	stats    *syscallCounters
 	swAddr   *net.UDPAddr
 	swConn   *net.UDPConn
@@ -472,23 +484,20 @@ type UDP struct {
 
 // sendState is one worker's reusable uplink sending context.
 type sendState struct {
-	mu     sync.Mutex
-	writer batchWriter
-	sc     sendScratch
+	mu sync.Mutex
+	sc sendScratch
 }
 
 // recvState is one worker's reusable downlink receiving context plus the
 // overflow queue for batch frames larger than the caller's buffer vector.
 type recvState struct {
 	mu      sync.Mutex
-	reader  batchReader
-	kbufs   [][]byte // pooled per-call datagram buffers (headers reused)
 	split   [][]byte
 	pending [][]byte // owned copies carried over to the next RecvBatch
 }
 
 // NewUDP starts a switch socket on 127.0.0.1 and one socket per worker.
-func NewUDP(workers int, handler BatchHandler, opts ...UDPOption) (*UDP, error) {
+func NewUDP(workers int, handler BatchHandler) (*UDP, error) {
 	if handler == nil {
 		return nil, fmt.Errorf("transport: nil handler")
 	}
@@ -496,18 +505,17 @@ func NewUDP(workers int, handler BatchHandler, opts ...UDPOption) (*UDP, error) 
 	if err != nil {
 		return nil, err
 	}
-	u, err := DialUDP(sw.LocalAddr().(*net.UDPAddr), workers, opts...)
+	u, err := DialUDP(sw.LocalAddr().(*net.UDPAddr), workers)
 	if err != nil {
 		sw.Close()
 		return nil, err
 	}
 	u.swConn = sw
 	// workers was validated by DialUDP, so NewUDPServer cannot error here.
-	u.srv, _ = NewUDPServer(sw, workers, opts...)
+	u.srv, _ = NewUDPServer(sw, workers)
 	// One counter set for the whole in-process fabric: the serve side's
 	// syscalls are part of this fabric's wire cost.
 	u.srv.stats = u.stats
-	u.srv.pushW = newBatchWriter(sw, u.srv.useMmsg, u.stats)
 	go func() { _ = u.srv.Serve(handler) }()
 	return u, nil
 }
@@ -518,7 +526,7 @@ func NewUDP(workers int, handler BatchHandler, opts ...UDPOption) (*UDP, error) 
 // worker). One local socket is bound per worker port; SendBatch writes to
 // addr and RecvBatch drains the local sockets. Push errors: a dialed
 // fabric has no switch side to originate deliveries from.
-func DialUDP(addr *net.UDPAddr, workers int, opts ...UDPOption) (*UDP, error) {
+func DialUDP(addr *net.UDPAddr, workers int) (*UDP, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("transport: workers %d", workers)
 	}
@@ -529,10 +537,8 @@ func DialUDP(addr *net.UDPAddr, workers int, opts ...UDPOption) (*UDP, error) {
 	if addr == nil {
 		return nil, fmt.Errorf("transport: nil switch address")
 	}
-	o := applyOptions(opts)
 	u := &UDP{
 		workers: workers,
-		useMmsg: o.mode.enabled(),
 		stats:   &syscallCounters{},
 		swAddr:  addr,
 		conns:   make([]*net.UDPConn, workers),
@@ -546,8 +552,6 @@ func DialUDP(addr *net.UDPAddr, workers int, opts ...UDPOption) (*UDP, error) {
 			return nil, err
 		}
 		u.conns[i] = c
-		u.send[i].writer = newBatchWriter(c, u.useMmsg, u.stats)
-		u.recv[i].reader = newBatchReader(c, u.useMmsg, u.stats)
 	}
 	return u, nil
 }
@@ -556,9 +560,9 @@ func DialUDP(addr *net.UDPAddr, workers int, opts ...UDPOption) (*UDP, error) {
 // DialUDP fabric).
 func (u *UDP) SwitchAddr() *net.UDPAddr { return u.swAddr }
 
-// Backend names the datagram I/O backend this fabric resolved to —
-// "sendmmsg/recvmmsg" or "per-datagram".
-func (u *UDP) Backend() string { return backendName(u.useMmsg) }
+// Backend names the fabric's datagram I/O path for run headers: always
+// "per-datagram", one syscall per wire datagram.
+func (u *UDP) Backend() string { return "per-datagram" }
 
 // SyscallStats snapshots the fabric's wire syscall counters. For a NewUDP
 // fabric the switch side's serve loop shares the counter set, so the
@@ -593,9 +597,9 @@ func (u *UDP) Push(ds []Delivery) error {
 }
 
 // SendBatch implements Fabric, coalescing the vector into batch-framed
-// datagrams (a lone packet rides the legacy [workerID payload] frame) and
-// submitting them with one sendmmsg on the kernel-batched backend. Failed
-// datagrams are counted in SyscallStats.SendErrors as well as returned.
+// datagrams (a lone packet rides the legacy [workerID payload] frame).
+// Failed datagrams are counted in SyscallStats.SendErrors as well as
+// returned.
 func (u *UDP) SendBatch(worker int, pkts [][]byte) error {
 	if worker < 0 || worker >= u.workers {
 		return fmt.Errorf("transport: worker %d out of range", worker)
@@ -606,17 +610,14 @@ func (u *UDP) SendBatch(worker int, pkts [][]byte) error {
 	st := &u.send[worker]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	failed, err := writeCoalesced(st.writer, u.swAddr, byte(worker), pkts, true, &st.sc)
-	u.stats.sendErrors.Add(uint64(failed))
-	return err
+	return writeCoalesced(u.conns[worker], u.stats, u.swAddr, byte(worker), pkts, true, &st.sc)
 }
 
-// RecvBatch implements Fabric: it blocks up to timeout for the first
-// datagram, then keeps draining the socket without blocking until the
-// buffer vector is full or the socket is empty (one recvmmsg can take a
-// whole burst on the kernel-batched backend). Batch frames are split into
-// their packets; packets beyond len(bufs) are carried over to the next
-// call rather than dropped.
+// RecvBatch implements Fabric: it blocks up to timeout for the next
+// datagram that carries packets and returns them — a raw datagram is one
+// packet, a batch frame is split into its packets. Packets beyond
+// len(bufs) are carried over rather than dropped, and a call that finds
+// carried-over packets returns those without reading the socket.
 func (u *UDP) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (int, error) {
 	if worker < 0 || worker >= u.workers {
 		return 0, fmt.Errorf("transport: worker %d out of range", worker)
@@ -633,71 +634,47 @@ func (u *UDP) RecvBatch(worker int, bufs [][]byte, timeout time.Duration) (int, 
 		st.pending = st.pending[1:]
 		n++
 	}
-	if n == len(bufs) {
+	if n > 0 {
 		return n, nil
 	}
-	k := len(bufs) - n
-	if k > workerRecvBatch {
-		k = workerRecvBatch
-	}
-	st.kbufs = getReadBufs(st.kbufs, k)
-	defer func() { putReadBufs(st.kbufs) }()
+	buf := getReadBuf()
+	defer putReadBuf(buf)
 	c := u.conns[worker]
-	// The blocking deadline is absolute, computed ONCE: a stream of
-	// malformed or zero-length datagrams must consume the caller's
-	// timeout, not restart it — otherwise garbage traffic could stall the
-	// receiver (and its retransmit machinery) indefinitely.
-	deadline := time.Now().Add(timeout)
-	for n < len(bufs) {
-		// The first packet blocks up to the deadline; once something
-		// arrived, the already-expired deadline makes further reads fail
-		// fast with a timeout, so the call returns what the socket had.
-		dl := deadline
-		if n > 0 {
-			dl = time.Now()
-		}
-		if err := c.SetReadDeadline(dl); err != nil {
-			return n, err
-		}
-		m, err := st.reader.readDatagrams(st.kbufs, nil)
+	// The deadline is absolute, set ONCE: a stream of malformed or
+	// zero-length datagrams must consume the caller's timeout, not restart
+	// it — otherwise garbage traffic could stall the receiver (and its
+	// retransmit machinery) indefinitely.
+	if err := c.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+		return 0, err
+	}
+	for n == 0 {
+		m, err := c.Read(buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				if n == 0 {
-					return 0, ErrTimeout
-				}
-				return n, nil
-			}
-			if n > 0 {
-				return n, nil
+				return 0, ErrTimeout
 			}
 			return 0, err
 		}
-		for i := 0; i < m; i++ {
-			dgram := st.kbufs[i]
-			if len(dgram) < 1 {
-				continue
-			}
-			if dgram[0] == BatchFrameID {
-				_, pkts, err := splitBatchFrame(dgram, st.split)
-				st.split = pkts[:0]
-				if err != nil {
-					continue // malformed frame: drop, like a corrupt datagram
-				}
-				for _, pkt := range pkts {
-					if n < len(bufs) {
-						bufs[n] = append(bufs[n][:0], pkt...)
-						n++
-					} else {
-						st.pending = append(st.pending, append([]byte(nil), pkt...))
-					}
-				}
-				continue
-			}
+		u.stats.recvDgrams.Add(1)
+		if m < 1 {
+			continue
+		}
+		dgram := buf[:m]
+		if dgram[0] != BatchFrameID {
+			bufs[0] = append(bufs[0][:0], dgram...)
+			return 1, nil
+		}
+		_, pkts, err := splitBatchFrame(dgram, st.split)
+		st.split = pkts[:0]
+		if err != nil {
+			continue // malformed frame: drop, like a corrupt datagram
+		}
+		for _, pkt := range pkts {
 			if n < len(bufs) {
-				bufs[n] = append(bufs[n][:0], dgram...)
+				bufs[n] = append(bufs[n][:0], pkt...)
 				n++
 			} else {
-				st.pending = append(st.pending, append([]byte(nil), dgram...))
+				st.pending = append(st.pending, append([]byte(nil), pkt...))
 			}
 		}
 	}
